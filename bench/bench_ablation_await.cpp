@@ -62,7 +62,7 @@ AblationResult run_mode(evmp::Async mode, std::size_t events, double rate_hz,
   r.total_ms = wall.elapsed_ms();
   probe.stop();
   edt.wait_until_idle();
-  r.avg_response_ms = load.response_ms.mean();
+  r.avg_response_ms = load.response.mean_ns() / 1e6;
   r.probe_p50_ms = static_cast<double>(probe.latencies().percentile(0.5)) / 1e6;
   r.probe_p99_ms = static_cast<double>(probe.latencies().percentile(0.99)) / 1e6;
   r.max_nesting = edt.max_nesting();

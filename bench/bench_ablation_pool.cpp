@@ -1,9 +1,7 @@
 // AB2 — ablation: central-queue worker pool (the paper's executor model)
-// vs the work-stealing pool, as the backing of a worker virtual target.
-// A third column runs the same workloads on the mutex-per-deque
-// LockedWorkStealingExecutor, isolating what the lock-free Chase–Lev
-// rewrite buys over plain stealing (see also bench_steal_throughput for
-// the executor-level microbenchmark).
+// vs the lock-free work-stealing pool, as the backing of a worker virtual
+// target (see also bench_steal_throughput for the executor-level
+// microbenchmark).
 //
 // Two workloads:
 //  * fan-out: many independent fine-grained nowait blocks from one
@@ -74,46 +72,38 @@ int main(int argc, char** argv) {
 
   Runtime rt;
   rt.create_worker("central", threads);
-  auto& locked = rt.create_locked_stealing_worker("locked", threads);
   auto& stealing = rt.create_stealing_worker("stealing", threads);
-  (void)locked;
 
-  std::printf("AB2: central queue vs locked stealing vs lock-free stealing "
-              "as the worker target (%d threads)\n", threads);
+  std::printf("AB2: central queue vs lock-free stealing as the worker "
+              "target (%d threads)\n", threads);
 
   evmp::common::TextTable table;
-  table.set_header({"workload", "central queue(ms)", "locked steal(ms)",
-                    "chase-lev(ms)", "steals", "local pops"});
+  table.set_header({"workload", "central queue(ms)", "chase-lev(ms)",
+                    "steals", "local pops"});
 
-  // Warm up all three pools.
+  // Warm up both pools.
   run_fanout(rt, "central", 64, 1);
-  run_fanout(rt, "locked", 64, 1);
   run_fanout(rt, "stealing", 64, 1);
 
   {
     const double central = run_fanout(rt, "central", tasks, spin_us);
-    const double locked_ms = run_fanout(rt, "locked", tasks, spin_us);
     const auto steals_before = stealing.steals();
     const double steal = run_fanout(rt, "stealing", tasks, spin_us);
     table.add_row({"fan-out " + std::to_string(tasks) + " x " +
                        std::to_string(spin_us) + "us",
                    evmp::common::fmt(central, 1),
-                   evmp::common::fmt(locked_ms, 1),
                    evmp::common::fmt(steal, 1),
                    std::to_string(stealing.steals() - steals_before),
                    std::to_string(stealing.local_pops())});
   }
   {
     const double central = run_spawn_tree(rt, "central", roots, depth, spin_us);
-    const double locked_ms =
-        run_spawn_tree(rt, "locked", roots, depth, spin_us);
     const auto steals_before = stealing.steals();
     const double steal =
         run_spawn_tree(rt, "stealing", roots, depth, spin_us);
     table.add_row({"spawn-tree " + std::to_string(roots) + " x depth " +
                        std::to_string(depth),
                    evmp::common::fmt(central, 1),
-                   evmp::common::fmt(locked_ms, 1),
                    evmp::common::fmt(steal, 1),
                    std::to_string(stealing.steals() - steals_before),
                    std::to_string(stealing.local_pops())});
@@ -122,11 +112,9 @@ int main(int argc, char** argv) {
   std::printf("\nExpected on multi-core hosts: comparable on coarse "
               "fan-out; stealing ahead on the spawn-tree (nested blocks pop "
               "locally, idle workers steal whole subtrees; the central "
-              "queue serialises every hop), and chase-lev ahead of locked "
-              "stealing as threads grow (no mutex round trip per pop, "
-              "parked idlers instead of a polling CV). On a single-CPU "
-              "container all are time-slice bound and land together — the "
-              "structural difference shows in the counters.\n");
+              "queue serialises every hop). On a single-CPU container both "
+              "are time-slice bound and land together — the structural "
+              "difference shows in the counters.\n");
   rt.clear();
   return 0;
 }

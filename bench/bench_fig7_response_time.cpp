@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row{std::to_string(load)};
       for (Approach a : evmp::bench::figure7_approaches()) {
         const auto outcome = evmp::bench::run_gui_round(a, config);
-        double mean = outcome.load.response_ms.mean();
+        double mean = outcome.load.response.mean_ns() / 1e6;
         if (!outcome.load.all_completed) {
           std::fprintf(stderr, "# warning: %s/%s/load=%ld left %llu stragglers\n",
                        kernel.c_str(), std::string(to_string(a)).c_str(), load,

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                    evmp::common::fmt(outcome.probe_p50_ms, 3),
                    evmp::common::fmt(outcome.probe_p99_ms, 3),
                    evmp::common::fmt(outcome.edt_busy_pct, 1),
-                   evmp::common::fmt(outcome.load.response_ms.mean(), 2),
+                   evmp::common::fmt(outcome.load.response.mean_ns() / 1e6, 2),
                    std::to_string(outcome.edt_events)});
   }
   table.print(std::cout);

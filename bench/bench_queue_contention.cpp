@@ -1,6 +1,6 @@
-// QUEUE — run-queue fan-in microbenchmark: MpmcQueue (one mutex+condvar for
-// every producer and consumer) vs ShardedMpmcQueue (mutex-striped shards,
-// producer-hashed push, consumer work-pull), and the additional win from
+// QUEUE — run-queue fan-in microbenchmark: ShardedMpmcQueue with one shard
+// (one lock for every producer and consumer) vs more mutex-striped shards
+// (producer-hashed push, consumer work-pull), and the additional win from
 // batched submission (push_batch: one lock + one wakeup per burst).
 //
 // Each cell runs P producer threads pushing `items` no-op tokens at C
@@ -22,20 +22,18 @@
 
 #include "common/cli.hpp"
 #include "common/clock.hpp"
-#include "common/queue.hpp"
 #include "common/sharded_queue.hpp"
 #include "common/table.hpp"
 
 namespace {
 
-using evmp::common::MpmcQueue;
 using evmp::common::ShardedMpmcQueue;
 
 /// P producers push `per_producer` tokens each via `push`; `consumers`
 /// threads drain `queue` until closed-and-empty. Returns Mops/s over the
 /// full produce+drain interval.
-template <class Queue, class Push>
-double run_cell(Queue& queue, int producers, int consumers,
+template <class Push>
+double run_cell(ShardedMpmcQueue<int>& queue, int producers, int consumers,
                 long per_producer, Push push) {
   std::atomic<long> consumed{0};
   const auto start = evmp::common::now();
@@ -61,16 +59,6 @@ double run_cell(Queue& queue, int producers, int consumers,
   const double secs = evmp::common::to_sec(evmp::common::now() - start);
   return secs > 0.0 ? static_cast<double>(consumed.load()) / secs / 1e6
                     : 0.0;
-}
-
-double bench_mpmc(int producers, int consumers, long items) {
-  MpmcQueue<int> queue;
-  return run_cell(queue, producers, consumers, items / producers,
-                  [&](long n) {
-                    for (long i = 0; i < n; ++i) {
-                      queue.push(static_cast<int>(i));
-                    }
-                  });
 }
 
 double bench_sharded(int producers, int consumers, long items,
@@ -115,7 +103,7 @@ int main(int argc, char** argv) {
               items, consumers, batch);
 
   evmp::common::TextTable table;
-  std::vector<std::string> header{"producers", "mpmc"};
+  std::vector<std::string> header{"producers"};
   for (long s : shard_counts) {
     header.push_back("sharded/" + std::to_string(s));
   }
@@ -126,7 +114,6 @@ int main(int argc, char** argv) {
   for (long producers : producer_counts) {
     const int p = static_cast<int>(producers);
     std::vector<std::string> row{std::to_string(producers)};
-    row.push_back(evmp::common::fmt(bench_mpmc(p, consumers, items), 2));
     evmp::common::ShardedQueueStats last_stats;
     for (long s : shard_counts) {
       row.push_back(evmp::common::fmt(
@@ -147,8 +134,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(last_stats.max_depth));
   }
   table.print(std::cout);
-  std::printf("# mpmc = single mutex+condvar MpmcQueue; sharded/N = "
-              "ShardedMpmcQueue with N stripes (per-item push); +batch = "
+  std::printf("# sharded/N = ShardedMpmcQueue with N stripes (per-item "
+              "push; sharded/1 is the single-lock layout); +batch = "
               "push_batch bursts of %ld under one lock+wakeup.\n",
               batch);
 

@@ -1,14 +1,10 @@
 // ST1 — steal throughput and fork-join region latency: the lock-free
-// Chase–Lev WorkStealingExecutor against the mutex-per-deque
-// LockedWorkStealingExecutor it replaced, plus pooled vs per-region
-// fork-join teams (the Figure 9 oversubscription fix).
+// Chase–Lev WorkStealingExecutor on a recursive spawn tree, plus pooled vs
+// per-region fork-join teams (the Figure 9 oversubscription fix).
 //
 // Workloads:
 //  * spawn-tree: each task posts two children down to a given depth — the
-//    steal-heavy recursive pattern where deque contention dominates. On a
-//    multi-core host the lock-free deque is expected to be >=2x the locked
-//    baseline at 4+ threads; on a single-CPU container both are time-slice
-//    bound and the difference shows in the counters instead.
+//    steal-heavy recursive pattern where deque contention dominates.
 //  * region latency: a trivial width-W parallel region per iteration,
 //    once with a freshly constructed fj::Team per region (the paper's
 //    per-event pathology) and once leasing from fj::TeamPool.
@@ -33,7 +29,6 @@
 #include "common/clock.hpp"
 #include "common/sync.hpp"
 #include "common/table.hpp"
-#include "executor/locked_work_stealing_executor.hpp"
 #include "executor/work_stealing_executor.hpp"
 #include "forkjoin/team.hpp"
 #include "forkjoin/team_pool.hpp"
@@ -125,12 +120,11 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 namespace {
 
+using evmp::exec::WorkStealingExecutor;
+
 /// Post two children per task down to `depth`; leaves release the latch.
-/// Works against any executor exposing post() — the two pools under test
-/// share that interface.
-template <class Pool>
-void spawn_tree(Pool& pool, evmp::common::CountdownLatch& latch, int depth,
-                int spin_us) {
+void spawn_tree(WorkStealingExecutor& pool,
+                evmp::common::CountdownLatch& latch, int depth, int spin_us) {
   if (spin_us > 0) evmp::common::busy_spin(evmp::common::Micros{spin_us});
   if (depth == 0) {
     latch.count_down();
@@ -146,8 +140,7 @@ void spawn_tree(Pool& pool, evmp::common::CountdownLatch& latch, int depth,
 
 /// Run `roots` spawn trees of the given depth; returns wall ms and (via
 /// `tasks_out`) the number of tasks executed: roots * (2^(depth+1) - 1).
-template <class Pool>
-double run_tree(Pool& pool, int roots, int depth, int spin_us,
+double run_tree(WorkStealingExecutor& pool, int roots, int depth, int spin_us,
                 std::uint64_t* tasks_out) {
   const auto leaves = static_cast<std::uint64_t>(roots) << depth;
   evmp::common::CountdownLatch latch(static_cast<std::size_t>(leaves));
@@ -309,7 +302,7 @@ int main(int argc, char** argv) {
   const int width = static_cast<int>(args.get_long("width", 3));
   const std::string budget_path = args.get("alloc-check", "");
 
-  std::printf("ST1: lock-free vs locked work stealing (%d threads), "
+  std::printf("ST1: lock-free work stealing (%d threads), "
               "pooled vs fresh fork-join teams (width %d)\n",
               threads, width);
 
@@ -318,19 +311,6 @@ int main(int argc, char** argv) {
       {"workload", "variant", "ms", "Mtasks/s", "steals", "local pops"});
 
   std::uint64_t tasks = 0;
-  {
-    evmp::exec::LockedWorkStealingExecutor locked(
-        "st1-locked", static_cast<std::size_t>(threads));
-    run_tree(locked, 8, 4, spin_us, &tasks);  // warm-up
-    const double ms = run_tree(locked, roots, depth, spin_us, &tasks);
-    table.add_row({"spawn-tree " + std::to_string(roots) + " x depth " +
-                       std::to_string(depth),
-                   "locked", evmp::common::fmt(ms, 1),
-                   evmp::common::fmt(static_cast<double>(tasks) / ms / 1e3, 2),
-                   std::to_string(locked.steals()),
-                   std::to_string(locked.local_pops())});
-    locked.shutdown();
-  }
   {
     evmp::exec::WorkStealingExecutor lockfree(
         "st1-lockfree", static_cast<std::size_t>(threads));
@@ -375,13 +355,9 @@ int main(int argc, char** argv) {
                        " helpers spawned"});
   }
   table.print(std::cout);
-  std::printf("\nExpected on multi-core hosts: chase-lev >=2x the locked "
-              "baseline on the spawn-tree at 4+ threads (no mutex on the "
-              "owner's hot path, parked idlers instead of a polling CV), "
-              "and pooled regions orders of magnitude more region "
-              "throughput with zero helpers spawned in steady state. On a "
-              "single-CPU container wall times converge; the counters "
-              "still separate the designs.\n");
+  std::printf("\nExpected: pooled regions orders of magnitude more region "
+              "throughput than fresh teams, with zero helpers spawned in "
+              "steady state.\n");
 
   if (!budget_path.empty()) {
     const int rc = run_alloc_check(budget_path, threads);

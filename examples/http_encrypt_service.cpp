@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
     const auto result = evmp::http::run_virtual_users(jetty, load);
     std::printf("jetty   fixed pool      : %7.1f resp/s, mean %.2f ms, "
                 "p99 %.2f ms, %llu served\n",
-                result.throughput_rps, result.latency_ms.mean(),
-                result.latency_ms.p99(),
+                result.throughput_rps, result.latency.mean_ns() / 1e6,
+                result.latency.percentile(0.99) / 1e6,
                 static_cast<unsigned long long>(result.completed));
   }
   {
@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
     const auto result = evmp::http::run_virtual_users(pyjama, load);
     std::printf("pyjama  virtual target  : %7.1f resp/s, mean %.2f ms, "
                 "p99 %.2f ms, %llu served\n",
-                result.throughput_rps, result.latency_ms.mean(),
-                result.latency_ms.p99(),
+                result.throughput_rps, result.latency.mean_ns() / 1e6,
+                result.latency.percentile(0.99) / 1e6,
                 static_cast<unsigned long long>(result.completed));
     std::printf("        dispatcher dispatched %llu requests and spent "
                 "%.1f ms total inside handlers (offloading works)\n",

@@ -1,10 +1,9 @@
 #pragma once
-// Sharded MPMC run queue: the scalability successor to MpmcQueue.
+// Sharded MPMC run queue: the run queue of ThreadPoolExecutor and the
+// injection queue of WorkStealingExecutor.
 //
-// MpmcQueue funnels every producer and consumer through one mutex+condvar;
-// under many-producer bursts (the §V.B virtual-user swarm) that single lock
-// is the throughput ceiling of every executor built on it. ShardedMpmcQueue
-// stripes the FIFO across N independently locked shards:
+// The FIFO is striped across N independently locked shards, so disjoint
+// producers take disjoint locks (with one shard it is a single-lock FIFO):
 //
 //  * push() hashes the producer thread to a home shard and takes only that
 //    shard's lock — disjoint producers never contend;
@@ -12,14 +11,14 @@
 //    amortising the synchronisation cost across the batch;
 //  * pop() serves a consumer from its home shard first and work-pulls from
 //    sibling shards when the home shard is dry, so no item is stranded;
-//  * close() preserves MpmcQueue's shutdown contract exactly: pending items
-//    remain poppable, new pushes are refused, blocked consumers wake once
-//    the queue has drained. close() latches the flag while holding every
-//    shard lock, which linearises it against all in-flight pushes.
+//  * close() is the shutdown contract: pending items remain poppable, new
+//    pushes are refused, blocked consumers wake once the queue has
+//    drained. close() latches the flag while holding every shard lock,
+//    which linearises it against all in-flight pushes.
 //
 // Ordering: FIFO per shard — hence FIFO per producer thread — but not
-// globally FIFO across producers (MpmcQueue was not usefully FIFO across
-// racing producers either: the interleaving was arbitrary).
+// globally FIFO across racing producers, whose interleaving is arbitrary
+// anyway.
 //
 // Wakeups avoid the shared condition variable entirely while consumers are
 // busy: a push only touches the cv mutex when the sleeper count says someone
@@ -33,11 +32,11 @@
 // lock collisions, max depth) so executors can expose their fan-in behaviour
 // through common::tracing; reading them costs nothing on the hot path.
 //
-// Lifetime caveat (differs from MpmcQueue): push() touches queue members
-// after its item became poppable, so a producer must ensure the queue
-// outlives its push() call. Every executor in this repo guarantees that by
-// joining its workers before destroying the queue; posting to an executor
-// racing with its destruction was already undefined before this change.
+// Lifetime: push() touches queue members after its item became poppable,
+// so a producer must ensure the queue outlives its push() call. Every
+// executor in this repo guarantees that by joining its workers before
+// destroying the queue; posting to an executor racing with its destruction
+// is undefined.
 
 #include <atomic>
 #include <condition_variable>
@@ -73,8 +72,8 @@ struct ShardedQueueStats {
 };
 
 /// Unbounded MPMC FIFO striped over `num_shards` mutex-protected shards.
-/// Drop-in for MpmcQueue where global FIFO across producers is not required
-/// (executor run queues). `num_shards` is rounded up to a power of two;
+/// FIFO per producer thread, not across producers (see above).
+/// `num_shards` is rounded up to a power of two;
 /// 0 selects a default based on the hardware concurrency.
 template <class T>
 class ShardedMpmcQueue {
@@ -317,8 +316,7 @@ class ShardedMpmcQueue {
   void close() {
     // Latch the flag while holding every shard lock: any concurrent push
     // either completed before we got its shard (item visible to the final
-    // drain scan) or observes closed_ and is refused. This is the sharded
-    // equivalent of MpmcQueue setting closed_ under its one mutex.
+    // drain scan) or observes closed_ and is refused.
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(shards_.size());
     for (auto& s : shards_) locks.emplace_back(s->mu);

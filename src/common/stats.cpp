@@ -44,37 +44,6 @@ void OnlineStats::merge(const OnlineStats& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-void PercentileSampler::merge(const PercentileSampler& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  sorted_ = false;
-}
-
-double PercentileSampler::mean() const noexcept {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-void PercentileSampler::ensure_sorted() const {
-  if (!sorted_) {
-    auto& v = const_cast<std::vector<double>&>(samples_);
-    std::sort(v.begin(), v.end());
-    const_cast<bool&>(sorted_) = true;
-  }
-}
-
-double PercentileSampler::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
 LatencyHistogram::LatencyHistogram() : counts_(kBuckets) {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
 }

@@ -1,7 +1,7 @@
 #pragma once
 // Measurement accumulators used by every benchmark harness: online
-// mean/variance, exact percentile samples, and a log-bucketed latency
-// histogram for cheap concurrent recording.
+// mean/variance and a log-bucketed latency histogram for cheap concurrent
+// recording in bounded memory.
 
 #include <array>
 #include <atomic>
@@ -34,35 +34,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stores every sample and answers exact percentile queries.
-/// Single-writer; merge before querying from other threads.
-class PercentileSampler {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  void merge(const PercentileSampler& other);
-
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-  [[nodiscard]] double mean() const noexcept;
-  /// Exact percentile by nearest-rank with linear interpolation; q in [0,1].
-  [[nodiscard]] double percentile(double q) const;
-  [[nodiscard]] double median() const { return percentile(0.5); }
-  [[nodiscard]] double p99() const { return percentile(0.99); }
-  [[nodiscard]] double max() const { return percentile(1.0); }
-
-  [[nodiscard]] const std::vector<double>& samples() const noexcept {
-    return samples_;
-  }
-  void clear() noexcept { samples_.clear(); sorted_ = true; }
-
- private:
-  void ensure_sorted() const;
-  std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 /// The latency quantiles every harness reports, in nanoseconds.

@@ -55,16 +55,6 @@ exec::WorkStealingExecutor& Runtime::create_stealing_worker(std::string tname,
   return ref;
 }
 
-exec::LockedWorkStealingExecutor& Runtime::create_locked_stealing_worker(
-    std::string tname, int m) {
-  auto pool = std::make_shared<exec::LockedWorkStealingExecutor>(
-      tname, static_cast<std::size_t>(m < 1 ? 1 : m));
-  exec::LockedWorkStealingExecutor& ref = *pool;
-  std::scoped_lock lk(mu_);
-  targets_[std::move(tname)] = TargetEntry{pool.get(), pool};
-  return ref;
-}
-
 exec::SimulatedDeviceExecutor& Runtime::register_device(
     int id, exec::SimulatedDeviceExecutor::Config cfg) {
   const std::string tname = "device:" + std::to_string(id);

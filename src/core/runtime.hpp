@@ -41,7 +41,6 @@
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-#include "executor/locked_work_stealing_executor.hpp"
 #include "executor/simulated_device.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "executor/work_stealing_executor.hpp"
@@ -95,13 +94,6 @@ class Runtime {
   /// with create_worker.
   exec::WorkStealingExecutor& create_stealing_worker(std::string tname,
                                                      int m);
-
-  /// Create a worker-type virtual target backed by the mutex-per-deque
-  /// stealing pool — the ablation baseline the lock-free pool is measured
-  /// against (bench_steal_throughput, bench_ablation_pool). Semantically
-  /// interchangeable with create_stealing_worker.
-  exec::LockedWorkStealingExecutor& create_locked_stealing_worker(
-      std::string tname, int m);
 
   /// Create a simulated accelerator reachable as device(`id`). Fallback
   /// for the original `target device(n)` form on GPU-less hosts.

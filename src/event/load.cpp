@@ -11,7 +11,7 @@ struct CompletionToken::Impl {
   std::atomic<bool> completed{false};
   // Shared across all requests of one run:
   std::mutex* mu = nullptr;
-  common::PercentileSampler* sampler = nullptr;
+  common::LatencyHistogram* response = nullptr;
   common::CountdownLatch* latch = nullptr;
   common::TimePoint* last_completion = nullptr;
 };
@@ -20,9 +20,10 @@ void CompletionToken::complete() const {
   if (!impl_) return;
   if (impl_->completed.exchange(true)) return;  // idempotent
   const auto now_tp = common::now();
+  impl_->response->record(
+      static_cast<std::uint64_t>(common::elapsed_ns(impl_->fired, now_tp)));
   {
     std::scoped_lock lk(*impl_->mu);
-    impl_->sampler->add(common::to_ms(now_tp - impl_->fired));
     if (now_tp > *impl_->last_completion) *impl_->last_completion = now_tp;
   }
   impl_->latch->count_down();
@@ -31,6 +32,7 @@ void CompletionToken::complete() const {
 LoadResult OpenLoopDriver::run(EventLoop& edt, const Options& options,
                                const Handler& handler) {
   LoadResult result;
+  common::LatencyHistogram response;
   std::mutex mu;
   common::CountdownLatch latch(options.count);
   common::TimePoint last_completion = common::now();
@@ -53,7 +55,7 @@ LoadResult OpenLoopDriver::run(EventLoop& edt, const Options& options,
     auto impl = std::make_shared<CompletionToken::Impl>();
     impl->fired = common::now();
     impl->mu = &mu;
-    impl->sampler = &result.response_ms;
+    impl->response = &response;
     impl->latch = &latch;
     impl->last_completion = &last_completion;
     CompletionToken token(std::move(impl));
@@ -65,7 +67,8 @@ LoadResult OpenLoopDriver::run(EventLoop& edt, const Options& options,
   result.all_completed = latch.wait_for(options.drain_timeout);
   {
     std::scoped_lock lk(mu);
-    result.completed = result.response_ms.count();
+    result.response = response.snapshot();
+    result.completed = result.response.total_count();
     result.wall_seconds = common::to_sec(last_completion - start);
   }
   return result;

@@ -44,10 +44,10 @@ class CompletionToken {
 
 /// Result of one open-loop run.
 struct LoadResult {
-  common::PercentileSampler response_ms;  ///< per-request response times
-  std::uint64_t fired = 0;                ///< requests posted
-  std::uint64_t completed = 0;            ///< requests that signalled done
-  double wall_seconds = 0.0;              ///< fire of first .. last completion
+  common::HistogramSnapshot response;  ///< per-request response times (ns)
+  std::uint64_t fired = 0;             ///< requests posted
+  std::uint64_t completed = 0;         ///< requests that signalled done
+  double wall_seconds = 0.0;           ///< fire of first .. last completion
   bool all_completed = false;
 };
 

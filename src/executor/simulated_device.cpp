@@ -4,8 +4,24 @@ namespace evmp::exec {
 
 SimulatedDeviceExecutor::SimulatedDeviceExecutor(std::string device_name,
                                                  int device_id, Config cfg)
-    : SerialExecutor(std::move(device_name)), device_id_(device_id),
+    : ThreadPoolExecutor(std::move(device_name), 1), device_id_(device_id),
       cfg_(cfg) {}
+
+// Drain while cfg_ and launches_ are still alive: queued launches read them.
+SimulatedDeviceExecutor::~SimulatedDeviceExecutor() { shutdown(); }
+
+void SimulatedDeviceExecutor::post(Task task) {
+  ThreadPoolExecutor::post(launch(std::move(task)));
+}
+
+bool SimulatedDeviceExecutor::try_post(Task task) {
+  return ThreadPoolExecutor::try_post(launch(std::move(task)));
+}
+
+void SimulatedDeviceExecutor::post_batch(std::span<Task> tasks) {
+  for (Task& task : tasks) task = launch(std::move(task));
+  ThreadPoolExecutor::post_batch(tasks);
+}
 
 void SimulatedDeviceExecutor::sleep_for_bytes(std::uint64_t bytes) const {
   const double secs = static_cast<double>(bytes) / cfg_.bandwidth_bytes_per_sec;
@@ -22,10 +38,12 @@ void SimulatedDeviceExecutor::transfer_from_device(std::uint64_t bytes) {
   from_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-void SimulatedDeviceExecutor::execute(Task& task) {
-  common::precise_sleep(cfg_.launch_latency);
-  launches_.fetch_add(1, std::memory_order_relaxed);
-  SerialExecutor::execute(task);
+Task SimulatedDeviceExecutor::launch(Task task) {
+  return Task([this, task = std::move(task)]() mutable {
+    common::precise_sleep(cfg_.launch_latency);
+    launches_.fetch_add(1, std::memory_order_relaxed);
+    task();
+  });
 }
 
 }  // namespace evmp::exec

@@ -12,13 +12,15 @@
 #include <cstdint>
 
 #include "common/clock.hpp"
-#include "executor/serial_executor.hpp"
+#include "executor/thread_pool_executor.hpp"
 
 namespace evmp::exec {
 
 /// Single-threaded "device" with kernel-launch latency and a bandwidth model
-/// for map(to:)/map(from:) transfers.
-class SimulatedDeviceExecutor final : public SerialExecutor {
+/// for map(to:)/map(from:) transfers. A one-thread ThreadPoolExecutor whose
+/// submissions wrap each task in its launch: the wrapper costs one heap
+/// allocation per device post, which device dispatch can afford.
+class SimulatedDeviceExecutor final : public ThreadPoolExecutor {
  public:
   struct Config {
     /// Fixed cost added before each offloaded block (kernel launch).
@@ -30,6 +32,11 @@ class SimulatedDeviceExecutor final : public SerialExecutor {
   SimulatedDeviceExecutor(std::string name, int device_id, Config cfg);
   SimulatedDeviceExecutor(std::string name, int device_id)
       : SimulatedDeviceExecutor(std::move(name), device_id, Config{}) {}
+  ~SimulatedDeviceExecutor() override;
+
+  void post(Task task) override;
+  bool try_post(Task task) override;
+  void post_batch(std::span<Task> tasks) override;
 
   [[nodiscard]] int device_id() const noexcept { return device_id_; }
 
@@ -50,10 +57,9 @@ class SimulatedDeviceExecutor final : public SerialExecutor {
     return launches_.load(std::memory_order_relaxed);
   }
 
- protected:
-  void execute(Task& task) override;
-
  private:
+  /// `task` preceded by the launch latency and counted as one launch.
+  Task launch(Task task);
   void sleep_for_bytes(std::uint64_t bytes) const;
 
   const int device_id_;

@@ -13,19 +13,12 @@ namespace {
 // foreign threads.
 thread_local const ThreadPoolExecutor* t_pool = nullptr;
 thread_local std::size_t t_worker_index = 0;
-
-std::size_t default_shards(std::size_t num_threads, std::size_t num_shards) {
-  // One shard per worker by default: a 1-thread pool degenerates to the
-  // classic single-lock queue, wider pools get proportionally more stripes.
-  return num_shards != 0 ? num_shards : (num_threads == 0 ? 1 : num_threads);
-}
 }  // namespace
 
 ThreadPoolExecutor::ThreadPoolExecutor(std::string pool_name,
-                                       std::size_t num_threads,
-                                       std::size_t num_shards)
+                                       std::size_t num_threads)
     : Executor(std::move(pool_name)),
-      queue_(default_shards(num_threads, num_shards)) {
+      queue_(num_threads == 0 ? 1 : num_threads) {
   if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {

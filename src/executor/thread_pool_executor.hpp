@@ -20,12 +20,14 @@ namespace evmp::exec {
 /// in the destructor (or an explicit shutdown()); tasks still queued at
 /// shutdown are drained before the threads exit, so no accepted work is
 /// silently dropped.
-class ThreadPoolExecutor final : public Executor {
+///
+/// The queue has one shard per worker (rounded up to a power of two), so
+/// a one-thread pool is a single-lock FIFO served by one dedicated thread:
+/// tasks run strictly in submission order. That is the serial executor of
+/// a scale-1 worker target and the base of the simulated device.
+class ThreadPoolExecutor : public Executor {
  public:
-  /// `num_shards` 0 picks one shard per worker (rounded up to a power of
-  /// two), which keeps a single-thread pool on the classic one-lock layout.
-  ThreadPoolExecutor(std::string name, std::size_t num_threads,
-                     std::size_t num_shards = 0);
+  ThreadPoolExecutor(std::string name, std::size_t num_threads);
   ~ThreadPoolExecutor() override;
 
   void post(Task task) override;

@@ -1,11 +1,9 @@
 #pragma once
-// Lock-free work-stealing thread pool: the default backing for worker
-// virtual targets. The paper's central-queue executor (ThreadPoolExecutor)
-// serialises all submissions through one lock; the previous stealing pool
-// (kept as LockedWorkStealingExecutor for the ablation) removed the global
-// lock but still paid a per-worker std::mutex on every deque operation and
-// woke idlers through one polled condition variable. This version removes
-// both taxes:
+// Lock-free work-stealing thread pool: the backing of a worker virtual
+// target created with Runtime::create_stealing_worker (create_worker builds
+// the central-queue ThreadPoolExecutor). Nested blocks stay on the worker
+// that spawned them and idle workers steal, without a lock on the owner's
+// path or a polled condition variable:
 //
 //  * each worker owns a common::ChaseLevDeque<TaskNode*> — owner push/pop
 //    are fence-only (no RMW in the common case), thieves pay one CAS per
@@ -35,9 +33,9 @@
 // advisory: where sched_setaffinity is unavailable or refused the workers
 // simply run unpinned (pinned_workers() reports how many stuck).
 //
-// bench_steal_throughput and bench_ablation_pool quantify the gap against
-// LockedWorkStealingExecutor; DESIGN.md §9 documents the memory-ordering
-// and parking arguments, §11 the victim ordering and pinning semantics.
+// bench_steal_throughput and bench_ablation_pool measure it against the
+// central queue; DESIGN.md §9 documents the memory-ordering and parking
+// arguments, §11 the victim ordering and pinning semantics.
 
 #include <atomic>
 #include <cstdint>

@@ -66,7 +66,6 @@ HttpLoadResult run_virtual_users(Connector& connector,
             {
               std::scoped_lock lk(result_mu);
               ++result.completed;
-              result.latency_ms.add(common::to_ms(now_tp - sent));
               if (now_tp > last_response) last_response = now_tp;
             }
             done.count_down();

@@ -16,9 +16,9 @@ struct HttpLoadResult {
   std::uint64_t failed = 0;        ///< responses with ok == false
   double wall_seconds = 0.0;       ///< first submit .. last response
   double throughput_rps = 0.0;     ///< completed / wall_seconds
-  common::PercentileSampler latency_ms;  ///< per-request round trip
-  /// Same round trips in the HDR-style log-bucketed histogram (ns):
-  /// p50/p99/p999 without storing every sample, mergeable across runs.
+  /// Per-request round trips in the HDR-style log-bucketed histogram (ns):
+  /// exact mean, p50/p99/p999 without storing every sample, mergeable
+  /// across runs.
   common::HistogramSnapshot latency;
 };
 

@@ -1,5 +1,5 @@
-// Unit tests for common/queue (MpmcQueue), common/sharded_queue
-// (ShardedMpmcQueue) and common/sync primitives.
+// Unit tests for common/sharded_queue (ShardedMpmcQueue) and common/sync
+// primitives.
 
 #include <gtest/gtest.h>
 
@@ -8,136 +8,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.hpp"
 #include "common/sharded_queue.hpp"
 #include "common/sync.hpp"
 
 namespace evmp::common {
 namespace {
-
-TEST(MpmcQueue, FifoOrder) {
-  MpmcQueue<int> q;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 10; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpmcQueue, PushFrontJumpsTheLine) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push_front(0);
-  EXPECT_EQ(*q.try_pop(), 0);
-  EXPECT_EQ(*q.try_pop(), 1);
-}
-
-TEST(MpmcQueue, PopBlocksUntilPush) {
-  MpmcQueue<int> q;
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-    q.push(42);
-  });
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
-}
-
-TEST(MpmcQueue, CloseWakesBlockedConsumers) {
-  MpmcQueue<int> q;
-  std::atomic<int> woke{0};
-  {
-    std::vector<std::jthread> consumers;
-    for (int i = 0; i < 3; ++i) {
-      consumers.emplace_back([&] {
-        auto v = q.pop();
-        EXPECT_FALSE(v.has_value());
-        woke.fetch_add(1);
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.close();
-  }
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(MpmcQueue, CloseDrainsRemainingItems) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(3));  // refused
-  EXPECT_EQ(*q.pop(), 1);   // still poppable
-  EXPECT_EQ(*q.pop(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpmcQueue, PopForTimesOut) {
-  MpmcQueue<int> q;
-  const auto v = q.pop_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(v.has_value());
-}
-
-TEST(MpmcQueue, PopForReturnsItemWithinTimeout) {
-  MpmcQueue<int> q;
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.push(7);
-  });
-  const auto v = q.pop_for(std::chrono::seconds{5});
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(MpmcQueue, MoveOnlyPayload) {
-  MpmcQueue<std::unique_ptr<int>> q;
-  q.push(std::make_unique<int>(5));
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 5);
-}
-
-TEST(MpmcQueue, StressEveryItemDeliveredOnce) {
-  MpmcQueue<int> q;
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 5000;
-  std::mutex seen_mu;
-  std::multiset<int> seen;
-  {
-    std::vector<std::jthread> threads;
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        while (auto v = q.pop()) {
-          std::scoped_lock lk(seen_mu);
-          seen.insert(*v);
-        }
-      });
-    }
-    {
-      std::vector<std::jthread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-          for (int i = 0; i < kPerProducer; ++i) {
-            q.push(p * kPerProducer + i);
-          }
-        });
-      }
-    }
-    q.close();
-  }
-  EXPECT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
-  // Every value exactly once.
-  for (int p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(seen.count(p * kPerProducer), 1u);
-    EXPECT_EQ(seen.count(p * kPerProducer + kPerProducer - 1), 1u);
-  }
-}
 
 // --- ShardedMpmcQueue ------------------------------------------------------
 
@@ -204,29 +79,39 @@ TEST(ShardedMpmcQueue, BatchEquivalentToIndividualPushes) {
   EXPECT_EQ(s.pops, 8u);
 }
 
-TEST(ShardedMpmcQueue, BatchOfMoveOnlyPayload) {
+TEST(ShardedMpmcQueue, MoveOnlyPayload) {
   ShardedMpmcQueue<std::unique_ptr<int>> q(2);
   std::vector<std::unique_ptr<int>> batch;
   batch.push_back(std::make_unique<int>(1));
   batch.push_back(std::make_unique<int>(2));
   EXPECT_EQ(q.push_batch(batch), 2u);
+  EXPECT_TRUE(q.push(std::make_unique<int>(3)));
   EXPECT_EQ(**q.pop(), 1);
   EXPECT_EQ(**q.pop(), 2);
+  EXPECT_EQ(**q.pop(), 3);
 }
 
 TEST(ShardedMpmcQueue, CloseRefusesPushAndWholeBatches) {
-  ShardedMpmcQueue<int> q(4);
-  q.push(1);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(2));
-  std::vector<int> batch{3, 4, 5};
-  // close-while-batching contract: the batch is refused atomically — no
-  // partial admission.
-  EXPECT_EQ(q.push_batch(batch), 0u);
-  EXPECT_EQ(*q.pop(), 1);  // pre-close item still drains
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_EQ(q.size(), 0u);
+  // One shard is the single-lock layout of a one-thread pool; four stripe
+  // it. Either way close() refuses new items and keeps queued ones
+  // poppable, in order.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedMpmcQueue<int> q(shards);
+    q.push(1);
+    q.push(2);
+    q.close();
+    EXPECT_TRUE(q.closed());
+    EXPECT_FALSE(q.push(3));
+    std::vector<int> batch{4, 5, 6};
+    // close-while-batching contract: the batch is refused atomically — no
+    // partial admission.
+    EXPECT_EQ(q.push_batch(batch), 0u);
+    EXPECT_EQ(*q.pop(), 1);  // pre-close items still drain
+    EXPECT_EQ(*q.pop(), 2);
+    EXPECT_FALSE(q.pop().has_value());
+    EXPECT_EQ(q.size(), 0u);
+  }
 }
 
 TEST(ShardedMpmcQueue, CloseWakesBlockedConsumers) {
@@ -273,54 +158,58 @@ TEST(ShardedMpmcQueue, PopForTimesOutAndDelivers) {
 TEST(ShardedMpmcQueue, StressEveryItemDeliveredOnce) {
   // Multi-producer multi-consumer, mixed single and batched pushes, with a
   // concurrent close after all producers joined: every item delivered
-  // exactly once, none stranded behind the shutdown.
-  ShardedMpmcQueue<int> q(4);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 4000;
-  std::mutex seen_mu;
-  std::multiset<int> seen;
-  {
-    std::vector<std::jthread> threads;
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        while (auto v = q.pop()) {
-          std::scoped_lock lk(seen_mu);
-          seen.insert(*v);
-        }
-      });
-    }
+  // exactly once, none stranded behind the shutdown — on the single-lock
+  // layout and on a striped queue.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedMpmcQueue<int> q(shards);
+    constexpr int kProducers = 4;
+    constexpr int kConsumers = 4;
+    constexpr int kPerProducer = 4000;
+    std::mutex seen_mu;
+    std::multiset<int> seen;
     {
-      std::vector<std::jthread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-          std::vector<int> batch;
-          for (int i = 0; i < kPerProducer; ++i) {
-            const int value = p * kPerProducer + i;
-            if (p % 2 == 0) {
-              q.push(value);
-            } else {
-              batch.push_back(value);
-              if (batch.size() == 16) {
-                q.push_batch(batch);
-                batch.clear();
-              }
-            }
+      std::vector<std::jthread> threads;
+      for (int c = 0; c < kConsumers; ++c) {
+        threads.emplace_back([&] {
+          while (auto v = q.pop()) {
+            std::scoped_lock lk(seen_mu);
+            seen.insert(*v);
           }
-          if (!batch.empty()) q.push_batch(batch);
         });
       }
+      {
+        std::vector<std::jthread> producers;
+        for (int p = 0; p < kProducers; ++p) {
+          producers.emplace_back([&q, p] {
+            std::vector<int> batch;
+            for (int i = 0; i < kPerProducer; ++i) {
+              const int value = p * kPerProducer + i;
+              if (p % 2 == 0) {
+                q.push(value);
+              } else {
+                batch.push_back(value);
+                if (batch.size() == 16) {
+                  q.push_batch(batch);
+                  batch.clear();
+                }
+              }
+            }
+            if (!batch.empty()) q.push_batch(batch);
+          });
+        }
+      }
+      q.close();
     }
-    q.close();
+    ASSERT_EQ(seen.size(),
+              static_cast<std::size_t>(kProducers) * kPerProducer);
+    for (int v = 0; v < kProducers * kPerProducer; ++v) {
+      ASSERT_EQ(seen.count(v), 1u) << "value " << v;
+    }
+    const auto s = q.stats();
+    EXPECT_EQ(s.pops, static_cast<std::uint64_t>(kProducers) * kPerProducer);
+    EXPECT_GT(s.batch_pushes, 0u);
   }
-  ASSERT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
-  for (int v = 0; v < kProducers * kPerProducer; ++v) {
-    ASSERT_EQ(seen.count(v), 1u) << "value " << v;
-  }
-  const auto s = q.stats();
-  EXPECT_EQ(s.pops, static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GT(s.batch_pushes, 0u);
 }
 
 TEST(CountdownLatch, OpensAtZero) {

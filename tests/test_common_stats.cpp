@@ -79,41 +79,6 @@ TEST(OnlineStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 3.0);
 }
 
-TEST(PercentileSampler, ExactQuartiles) {
-  PercentileSampler p;
-  for (int i = 1; i <= 101; ++i) p.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.median(), 51.0);
-  EXPECT_DOUBLE_EQ(p.percentile(1.0), 101.0);
-  EXPECT_NEAR(p.percentile(0.25), 26.0, 1e-9);
-}
-
-TEST(PercentileSampler, InterpolatesBetweenRanks) {
-  PercentileSampler p;
-  p.add(0.0);
-  p.add(10.0);
-  EXPECT_DOUBLE_EQ(p.median(), 5.0);
-  EXPECT_DOUBLE_EQ(p.percentile(0.75), 7.5);
-}
-
-TEST(PercentileSampler, MergePreservesSamples) {
-  PercentileSampler a;
-  PercentileSampler b;
-  a.add(1.0);
-  b.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
-TEST(PercentileSampler, AddAfterQueryResorts) {
-  PercentileSampler p;
-  p.add(5.0);
-  EXPECT_DOUBLE_EQ(p.max(), 5.0);
-  p.add(1.0);  // must invalidate the sorted cache
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 1.0);
-}
-
 TEST(LatencyHistogram, EmptyReportsZero) {
   LatencyHistogram h;
   EXPECT_EQ(h.total_count(), 0u);

@@ -1,6 +1,6 @@
 // Unit tests for the executor substrate: UniqueFunction, CompletionState /
-// TaskHandle, ThreadPoolExecutor, SerialExecutor, InlineExecutor and the
-// simulated accelerator device.
+// TaskHandle, ThreadPoolExecutor (including the one-thread serial case),
+// InlineExecutor and the simulated accelerator device.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
 #include "executor/inline_executor.hpp"
-#include "executor/serial_executor.hpp"
 #include "executor/simulated_device.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "executor/unique_function.hpp"
@@ -358,8 +357,10 @@ TEST(UnhandledHook, ReceivesFireAndForgetExceptions) {
   EXPECT_EQ(hook_hits.load(), 1);
 }
 
-TEST(SerialExecutor, StrictFifo) {
-  SerialExecutor ex("s");
+// A one-thread pool is the serial executor: one shard, one thread, strict
+// submission order.
+TEST(ThreadPoolExecutor, OneThreadIsStrictFifo) {
+  ThreadPoolExecutor ex("s", 1);
   std::vector<int> order;
   common::CountdownLatch latch(20);
   for (int i = 0; i < 20; ++i) {
@@ -373,8 +374,8 @@ TEST(SerialExecutor, StrictFifo) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST(SerialExecutor, SingleThreadServesEverything) {
-  SerialExecutor ex("s");
+TEST(ThreadPoolExecutor, OneThreadServesEverything) {
+  ThreadPoolExecutor ex("s", 1);
   std::set<std::thread::id> ids;
   std::mutex mu;
   common::CountdownLatch latch(10);

@@ -165,8 +165,8 @@ TEST(VirtualUsers, ClosedLoopCompletesEveryRequest) {
   EXPECT_EQ(result.completed, 50u);
   EXPECT_EQ(result.failed, 0u);
   EXPECT_GT(result.throughput_rps, 0.0);
-  EXPECT_EQ(result.latency_ms.count(), 50u);
-  EXPECT_GT(result.latency_ms.mean(), 0.0);
+  EXPECT_EQ(result.latency.total_count(), 50u);
+  EXPECT_GT(result.latency.mean_ns(), 0.0);
 }
 
 TEST(VirtualUsers, PyjamaConnectorUnderSwarm) {
@@ -234,7 +234,7 @@ TEST(VirtualUsers, BurstPipelinesThroughBothConnectors) {
     const auto result = run_virtual_users(connector, opt);
     EXPECT_EQ(result.completed, 32u);
     EXPECT_EQ(result.failed, 0u);
-    EXPECT_EQ(result.latency_ms.count(), 32u);
+    EXPECT_EQ(result.latency.total_count(), 32u);
   }
   {
     PyjamaConnector connector(3, svc.handler());

@@ -42,19 +42,14 @@ class RuntimeMatrix : public ::testing::TestWithParam<MatrixCase> {
     rt_.register_edt("edt", edt_);
     rt_.create_worker("central", 3);
     rt_.create_stealing_worker("stealing", 3);
-    serial_ = std::make_unique<exec::SerialExecutor>("serial");
-    rt_.register_executor("serial", *serial_);
+    rt_.create_worker("serial", 1);
   }
-  void TearDown() override {
-    rt_.clear();
-    serial_->shutdown();
-  }
+  void TearDown() override { rt_.clear(); }
 
   std::string target_for(Backing b) { return backing_name(b); }
 
   Runtime rt_;
   event::EventLoop edt_{"edt"};
-  std::unique_ptr<exec::SerialExecutor> serial_;
 };
 
 TEST_P(RuntimeMatrix, BurstRunsEveryBlockExactlyOnce) {
