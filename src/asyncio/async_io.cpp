@@ -1,11 +1,8 @@
 #include "asyncio/async_io.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <stdexcept>
 
-#include "common/sync.hpp"
 #include "common/tracing.hpp"
-#include "net/reactor.hpp"
 
 namespace evmp::io {
 
@@ -21,11 +18,6 @@ std::uint64_t hash_name(const std::string& s) {
 }
 
 }  // namespace
-
-bool AsyncIoService::later_due(const Pending& a, const Pending& b) {
-  if (a.due != b.due) return a.due > b.due;
-  return a.seq > b.seq;
-}
 
 AsyncIoService::AsyncIoService() : AsyncIoService(Config{}) {}
 
@@ -61,17 +53,16 @@ IoOperation AsyncIoService::submit(const DeviceModel& model,
           std::runtime_error("AsyncIoService is shut down")));
       return op;
     }
+    const common::TimePoint due =
+        common::now() + modeled_duration(model, bytes);
     Pending p;
-    p.due = common::now() + modeled_duration(model, bytes);
-    p.seq = seq_++;
     p.state = state;
     p.data = op.data_;
     p.bytes = bytes;
     p.content_seed = content_seed;
     p.post_to = post_to;
     p.continuation = std::move(continuation);
-    queue_.push_back(std::move(p));
-    std::push_heap(queue_.begin(), queue_.end(), &AsyncIoService::later_due);
+    queue_.push(due, std::move(p));
     cv_.notify_all();  // under the lock: destruction-safe wakeup
   }
   return op;
@@ -105,32 +96,6 @@ std::size_t AsyncIoService::in_flight() const {
   return queue_.size();
 }
 
-void AsyncIoService::attach_reactor(net::Reactor& reactor) {
-  std::scoped_lock lk(mu_);
-  reactor_ = &reactor;
-}
-
-void AsyncIoService::ensure_reactor_timer_locked(common::TimePoint due) {
-  if (reactor_timer_id_ != 0 && reactor_timer_due_ <= due) return;
-  if (reactor_timer_id_ != 0) reactor_->cancel_timer(reactor_timer_id_);
-  reactor_timer_due_ = due;
-  const auto delay = due - common::now();
-  reactor_timer_id_ = reactor_->add_timer(
-      std::max(common::Nanos{0},
-               std::chrono::duration_cast<common::Nanos>(delay)),
-      exec::Task([this] { on_reactor_timer(); }));
-}
-
-// Reactor thread: the single wheel timer fired; hand the baton to the
-// completion thread, which retires due operations and re-arms as needed.
-void AsyncIoService::on_reactor_timer() {
-  std::scoped_lock lk(mu_);
-  reactor_timer_id_ = 0;
-  reactor_timer_due_ = common::TimePoint::max();
-  reactor_wakeups_.fetch_add(1, std::memory_order_relaxed);
-  cv_.notify_all();
-}
-
 void AsyncIoService::shutdown() {
   {
     std::scoped_lock lk(mu_);
@@ -139,24 +104,6 @@ void AsyncIoService::shutdown() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  std::uint64_t timer = 0;
-  net::Reactor* reactor = nullptr;
-  {
-    std::scoped_lock lk(mu_);
-    timer = reactor_timer_id_;
-    reactor_timer_id_ = 0;
-    reactor = reactor_;
-  }
-  if (reactor != nullptr && reactor->running()) {
-    if (timer != 0) reactor->cancel_timer(timer);
-    // Drain the posted cancel and any in-flight wake before returning, so
-    // no timer callback can outlive this object. Timed: if the reactor
-    // stopped between the running() check and the post, the sentinel was
-    // dropped and its timers discarded — equally safe, just don't hang.
-    common::CountdownLatch drained(1);
-    reactor->post(exec::Task([&drained] { drained.count_down(); }));
-    (void)drained.wait_for(std::chrono::seconds{2});
-  }
   publish_counters();
 }
 
@@ -167,8 +114,6 @@ void AsyncIoService::publish_counters(const std::string& prefix) const {
                      completed_.load(std::memory_order_relaxed));
   tracer.set_counter(prefix + ".bytes_transferred",
                      bytes_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".reactor_wakeups",
-                     reactor_wakeups_.load(std::memory_order_relaxed));
 }
 
 void AsyncIoService::completion_main() {
@@ -179,21 +124,12 @@ void AsyncIoService::completion_main() {
       cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
       continue;
     }
-    const auto due = queue_.front().due;
-    if (common::now() < due && !stopping_) {
-      if (reactor_ != nullptr && reactor_->running()) {
-        // Single-timer path: the reactor's wheel owns the deadline; this
-        // thread sleeps untimed until the wake (or a new submission).
-        ensure_reactor_timer_locked(due);
-        cv_.wait(lk);
-      } else {
-        cv_.wait_until(lk, due);
-      }
+    const common::TimePoint due = queue_.next_due();
+    if (!stopping_ && common::now() < due) {
+      cv_.wait_until(lk, due);
       continue;
     }
-    std::pop_heap(queue_.begin(), queue_.end(), &AsyncIoService::later_due);
-    Pending p = std::move(queue_.back());
-    queue_.pop_back();
+    Pending p = queue_.pop();
     lk.unlock();
 
     // Retire: generate content (reads/fetches), flip the handle, fire the

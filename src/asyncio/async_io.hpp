@@ -27,13 +27,10 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/deadline_heap.hpp"
 #include "common/rng.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-
-namespace evmp::net {
-class Reactor;
-}  // namespace evmp::net
 
 namespace evmp::io {
 
@@ -99,16 +96,6 @@ class AsyncIoService {
   IoOperation fetch_url_then(const std::string& url, std::size_t bytes,
                              exec::Executor& executor, exec::Task on_complete);
 
-  /// Route completion timing through `reactor`'s timer wheel: the
-  /// completion thread stops running its own timed waits and instead
-  /// sleeps until a single reactor timer — armed at the earliest pending
-  /// deadline, re-armed as earlier operations arrive — wakes it. The
-  /// reactor thus becomes the one timing source for both socket timeouts
-  /// and asyncio completions. Call once, before submitting operations;
-  /// the reactor must not be stopped concurrently with shutdown() (either
-  /// order is fine, just not overlapped).
-  void attach_reactor(net::Reactor& reactor);
-
   /// Stop accepting work, retire everything in flight, join. Idempotent.
   void shutdown();
 
@@ -118,22 +105,16 @@ class AsyncIoService {
   [[nodiscard]] std::uint64_t bytes_transferred() const noexcept {
     return bytes_.load(std::memory_order_relaxed);
   }
-  /// Reactor-timer wakeups delivered to the completion thread.
-  [[nodiscard]] std::uint64_t reactor_wakeups() const noexcept {
-    return reactor_wakeups_.load(std::memory_order_relaxed);
-  }
   /// Operations submitted but not yet retired.
   [[nodiscard]] std::size_t in_flight() const;
 
   /// Export "<prefix>.ops_pending" / "<prefix>.ops_completed" /
-  /// "<prefix>.bytes_transferred" / "<prefix>.reactor_wakeups" through
-  /// common::Tracer (also called by shutdown()).
+  /// "<prefix>.bytes_transferred" through common::Tracer (also called by
+  /// shutdown()).
   void publish_counters(const std::string& prefix = "asyncio") const;
 
  private:
   struct Pending {
-    common::TimePoint due;
-    std::uint64_t seq = 0;
     exec::CompletionRef state;
     std::shared_ptr<std::vector<std::uint8_t>> data;
     std::size_t bytes = 0;
@@ -142,31 +123,22 @@ class AsyncIoService {
     exec::Task continuation;
   };
 
-  static bool later_due(const Pending& a, const Pending& b);
   IoOperation submit(const DeviceModel& model, std::size_t bytes,
                      std::uint64_t content_seed, exec::Executor* post_to,
                      exec::Task continuation);
   common::Nanos modeled_duration(const DeviceModel& model, std::size_t bytes);
   void completion_main();
-  /// mu_ held: make sure one reactor timer covers deadline `due`.
-  void ensure_reactor_timer_locked(common::TimePoint due);
-  void on_reactor_timer();
 
   Config cfg_;
   common::Xoshiro256 rng_;  // guarded by mu_
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Pending> queue_;  // min-heap by (due, seq)
-  std::uint64_t seq_ = 0;
+  common::DeadlineHeap<Pending> queue_;  // guarded by mu_
   bool stopping_ = false;
-  net::Reactor* reactor_ = nullptr;        // set once by attach_reactor
-  std::uint64_t reactor_timer_id_ = 0;     // guarded by mu_; 0 = none
-  common::TimePoint reactor_timer_due_{};  // guarded by mu_
 
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> reactor_wakeups_{0};
   std::jthread thread_;
 };
 

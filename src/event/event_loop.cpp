@@ -8,15 +8,14 @@
 namespace evmp::event {
 
 namespace {
-// Min-heap ordering for TimedEvent (std::push_heap builds a max-heap, so
-// invert the comparison).
-struct TimerLater {
-  template <class T>
-  bool operator()(const T& a, const T& b) const {
-    if (a.due != b.due) return a.due > b.due;
-    return a.seq > b.seq;
-  }
-};
+// Move due timed events to the ready queue; caller holds the loop lock.
+// The clock is read only while a timer is pending.
+template <class Timers, class Ready>
+void promote_due(Timers& timers, Ready& ready) {
+  if (timers.empty()) return;
+  const common::TimePoint now_tp = common::now();
+  while (auto ev = timers.pop_due(now_tp)) ready.push_back(std::move(*ev));
+}
 }  // namespace
 
 EventLoop::EventLoop(std::string loop_name) : Executor(std::move(loop_name)) {}
@@ -64,10 +63,13 @@ void EventLoop::post_batch(std::span<exec::Task> tasks) {
 
 void EventLoop::post_delayed(exec::Task task, common::Nanos delay) {
   std::scoped_lock lk(mu_);
-  if (stop_requested_) return;
-  timers_.push_back(
-      TimedEvent{common::now() + delay, timer_seq_++, std::move(task)});
-  std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
+  if (stop_requested_) {
+    EVMP_LOG_WARN << "delayed event posted to stopped loop '" << name()
+                  << "' was dropped";
+    return;
+  }
+  const common::TimePoint due = common::now() + delay;
+  timers_.push(due, QueuedEvent{due, std::move(task)});
   cv_.notify_all();  // under the lock: see post()
 }
 
@@ -91,22 +93,6 @@ void EventLoop::invoke_and_wait(exec::Task task) {
 std::size_t EventLoop::pending() const {
   std::scoped_lock lk(mu_);
   return queue_.size();
-}
-
-void EventLoop::promote_due_timers_locked(common::TimePoint now_tp) {
-  while (!timers_.empty() && timers_.front().due <= now_tp) {
-    std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
-    TimedEvent te = std::move(timers_.back());
-    timers_.pop_back();
-    // A timer's "posted" instant is its due time: dispatch delay measures
-    // queue lateness, not the programmed delay.
-    queue_.push_back(QueuedEvent{te.due, std::move(te.fn)});
-  }
-}
-
-std::optional<common::TimePoint> EventLoop::next_timer_locked() const {
-  if (timers_.empty()) return std::nullopt;
-  return timers_.front().due;
 }
 
 void EventLoop::dispatch(QueuedEvent ev) {
@@ -143,7 +129,7 @@ bool EventLoop::pump_one() {
   QueuedEvent ev;
   {
     std::scoped_lock lk(mu_);
-    promote_due_timers_locked(common::now());
+    promote_due(timers_, queue_);
     if (queue_.empty()) return false;
     ev = queue_.pop_front();
   }
@@ -158,11 +144,11 @@ void EventLoop::run() {
   running_.store(true, std::memory_order_release);
   std::unique_lock lk(mu_);
   while (true) {
-    promote_due_timers_locked(common::now());
+    promote_due(timers_, queue_);
     if (stop_requested_) break;
     if (queue_.empty()) {
-      if (auto due = next_timer_locked()) {
-        cv_.wait_until(lk, *due);
+      if (!timers_.empty()) {
+        cv_.wait_until(lk, timers_.next_due());
       } else {
         cv_.wait(lk, [&] {
           return stop_requested_ || !queue_.empty() || !timers_.empty();

@@ -19,9 +19,9 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <vector>
 
 #include "common/clock.hpp"
+#include "common/deadline_heap.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/stats.hpp"
 #include "executor/completion.hpp"
@@ -129,17 +129,8 @@ class EventLoop final : public exec::Executor {
     common::TimePoint posted;
     exec::Task fn;
   };
-  struct TimedEvent {
-    common::TimePoint due;
-    std::uint64_t seq;  // tiebreak: preserve post order among equal deadlines
-    exec::Task fn;
-  };
 
   void dispatch(QueuedEvent ev);
-  /// Move due timed events to the ready queue. Caller holds mu_.
-  void promote_due_timers_locked(common::TimePoint now_tp);
-  /// Earliest pending timer deadline, if any. Caller holds mu_.
-  [[nodiscard]] std::optional<common::TimePoint> next_timer_locked() const;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -147,8 +138,9 @@ class EventLoop final : public exec::Executor {
   // Grow-only ring, not std::deque: the ready queue reaches a high-water
   // capacity once and then never allocates on the post/dispatch path.
   common::RingBuffer<QueuedEvent> queue_;
-  std::vector<TimedEvent> timers_;  // min-heap by (due, seq)
-  std::uint64_t timer_seq_ = 0;
+  // post_delayed events, already stamped: a timer's "posted" instant is its
+  // due time, so dispatch delay measures queue lateness, not the delay.
+  common::DeadlineHeap<QueuedEvent> timers_;
   bool stop_requested_ = false;
   int active_handlers_ = 0;
 

@@ -6,18 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hpp"
 
 namespace evmp::net {
-
-namespace {
-/// Wheel tick granularity: deadlines hash to slots of this width. One
-/// millisecond matches epoll_wait's timeout resolution — finer would not
-/// make the loop wake any earlier.
-constexpr common::Nanos kTick = std::chrono::milliseconds{1};
-}  // namespace
 
 Reactor::Reactor(std::string reactor_name)
     : Executor(std::move(reactor_name)),
@@ -109,94 +103,40 @@ void Reactor::del_fd(int fd) {
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr);
 }
 
-// --- timer wheel ----------------------------------------------------------
+// --- timers ----------------------------------------------------------------
 
-TimerId Reactor::add_timer(common::Nanos delay, exec::Task cb) {
-  const TimerId id = next_timer_id_.fetch_add(1, std::memory_order_relaxed);
+void Reactor::add_timer(common::Nanos delay, exec::Task cb) {
   const common::TimePoint deadline =
       common::now() + std::max(common::Nanos{0}, delay);
-  if (owns_current_thread()) {
-    insert_timer(id, deadline, std::move(cb));
-  } else {
-    post(exec::Task([this, id, deadline, cb = std::move(cb)]() mutable {
-      insert_timer(id, deadline, std::move(cb));
+  if (!owns_current_thread()) {
+    post(exec::Task([this, deadline, cb = std::move(cb)]() mutable {
+      timers_.push(deadline, std::move(cb));
+      timers_scheduled_.fetch_add(1, std::memory_order_relaxed);
     }));
+    return;
   }
-  return id;
-}
-
-void Reactor::cancel_timer(TimerId id) {
-  if (owns_current_thread()) {
-    do_cancel(id);
-  } else {
-    post(exec::Task([this, id] { do_cancel(id); }));
-  }
-}
-
-std::size_t Reactor::slot_of(common::TimePoint deadline) const noexcept {
-  const auto ticks =
-      static_cast<std::uint64_t>(deadline.time_since_epoch() / kTick);
-  return static_cast<std::size_t>(ticks) & (kWheelSlots - 1);
-}
-
-void Reactor::insert_timer(TimerId id, common::TimePoint deadline,
-                           exec::Task cb) {
-  WheelSlot& slot = wheel_[slot_of(deadline)];
-  slot.entries.push_back(TimerEntry{id, deadline, std::move(cb)});
-  slot.min_deadline = std::min(slot.min_deadline, deadline);
-  live_.insert(id);
-  ++timer_entries_;
+  timers_.push(deadline, std::move(cb));
   timers_scheduled_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Reactor::do_cancel(TimerId id) {
-  // Lazy cancellation: the wheel entry stays where it is and is dropped
-  // when its slot is swept. Both sets only ever hold ids whose entries
-  // are still resident, so neither grows past the pending-timer count.
-  if (live_.erase(id) != 0) cancelled_.insert(id);
-}
-
 void Reactor::fire_due_timers() {
-  if (timer_entries_ == 0) return;
-  const common::TimePoint now_tp = common::now();
-  // Collect due callbacks before running any: a callback may re-arm
-  // itself (add_timer mutates the wheel mid-sweep otherwise).
-  std::vector<exec::Task> due;
-  for (WheelSlot& slot : wheel_) {
-    if (slot.entries.empty() || slot.min_deadline > now_tp) continue;
-    common::TimePoint new_min = common::TimePoint::max();
-    std::size_t keep = 0;
-    for (TimerEntry& entry : slot.entries) {
-      if (entry.deadline > now_tp) {
-        new_min = std::min(new_min, entry.deadline);
-        slot.entries[keep++] = std::move(entry);
-        continue;
-      }
-      --timer_entries_;
-      if (cancelled_.erase(entry.id) != 0) {
-        timers_cancelled_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      live_.erase(entry.id);
-      due.push_back(std::move(entry.task));
-    }
-    slot.entries.resize(keep);
-    slot.min_deadline = new_min;
-  }
-  for (exec::Task& task : due) {
-    run_task(task);
+  if (timers_.empty()) return;
+  // Fire only what was due when the sweep began: a callback that re-arms
+  // itself, even with zero delay, is stamped later and waits for the next
+  // loop iteration, so posted tasks and fd events keep their turn. The
+  // budget bounds the sweep even if the clock has not advanced.
+  const common::TimePoint sweep_start = common::now();
+  for (std::size_t budget = timers_.size(); budget > 0; --budget) {
+    std::optional<exec::Task> task = timers_.pop_due(sweep_start);
+    if (!task) break;
+    run_task(*task);
     timers_fired_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 int Reactor::timer_wait_ms() const noexcept {
-  if (timer_entries_ == 0) return -1;
-  common::TimePoint next = common::TimePoint::max();
-  for (const WheelSlot& slot : wheel_) {
-    if (!slot.entries.empty()) next = std::min(next, slot.min_deadline);
-  }
-  if (next == common::TimePoint::max()) return -1;
-  const auto gap = next - common::now();
+  if (timers_.empty()) return -1;
+  const auto gap = timers_.next_due() - common::now();
   if (gap <= common::Nanos{0}) return 0;
   const auto ms = (gap + common::Nanos{999'999}) / common::Nanos{1'000'000};
   return static_cast<int>(std::min<std::int64_t>(ms, 60'000));
@@ -210,7 +150,6 @@ ReactorStats Reactor::stats() const noexcept {
   s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
   s.timers_scheduled = timers_scheduled_.load(std::memory_order_relaxed);
   s.timers_fired = timers_fired_.load(std::memory_order_relaxed);
-  s.timers_cancelled = timers_cancelled_.load(std::memory_order_relaxed);
   return s;
 }
 

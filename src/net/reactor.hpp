@@ -11,8 +11,8 @@
 //   * posted tasks (the Executor interface), delivered through a sharded
 //     queue and an eventfd wakeup, which is how completions flow *back*
 //     onto the reactor from worker targets; and
-//   * timers, kept in a hashed timer wheel (connection idle timeouts,
-//     asyncio completion deadlines) and fired between epoll batches.
+//   * timers, kept in a common::DeadlineHeap (connection idle timeouts)
+//     and fired between epoll batches.
 //
 // Because Reactor is an exec::Executor, it registers with the Runtime as
 // a named virtual target: a worker-side handler finishing a response
@@ -25,10 +25,9 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "common/clock.hpp"
+#include "common/deadline_heap.hpp"
 #include "common/sharded_queue.hpp"
 #include "executor/executor.hpp"
 #include "net/socket.hpp"
@@ -43,13 +42,9 @@ struct ReactorStats {
   std::uint64_t tasks_run = 0;         ///< posted tasks executed
   std::uint64_t timers_scheduled = 0;  ///< add_timer() insertions
   std::uint64_t timers_fired = 0;      ///< timer callbacks executed
-  std::uint64_t timers_cancelled = 0;  ///< entries dropped by cancel_timer
 };
 
-/// Handle to a pending timer (see Reactor::add_timer). 0 is never issued.
-using TimerId = std::uint64_t;
-
-/// Single-threaded edge-triggered epoll loop with a hashed timer wheel,
+/// Single-threaded edge-triggered epoll loop with a deadline-heap timer,
 /// registrable as a virtual target. Not meant to be subclassed further —
 /// connection logic lives in FdHandler implementations (see net::Server).
 class Reactor final : public exec::Executor {
@@ -119,43 +114,22 @@ class Reactor final : public exec::Executor {
 
   // --- timers ------------------------------------------------------------
   /// Schedule `cb` to run on the reactor thread once `delay` has elapsed.
-  /// The wheel hashes deadlines into fixed slots, so insertion and expiry
-  /// are O(1) amortised regardless of how many timers are pending; the
-  /// epoll timeout tracks the earliest pending deadline, so an idle
-  /// reactor sleeps until exactly the next timer. Thread-safe: foreign
-  /// threads enqueue the insertion through post() (the returned id is
-  /// valid immediately either way).
-  TimerId add_timer(common::Nanos delay, exec::Task cb);
-
-  /// Best-effort cancellation: a timer that has not fired yet will not
-  /// run. Cancelling an already-fired (or unknown) id is a no-op.
-  /// Thread-safe with the same posting rule as add_timer.
-  void cancel_timer(TimerId id);
+  /// Insertion is O(log n) and the epoll timeout tracks the earliest
+  /// pending deadline, so an idle reactor sleeps until exactly the next
+  /// timer. Thread-safe: foreign threads enqueue the insertion through
+  /// post(), with the deadline stamped at the call. There is no
+  /// cancellation; a callback that may have become moot re-checks its
+  /// state when it fires (see Server's idle timeout).
+  void add_timer(common::Nanos delay, exec::Task cb);
 
   [[nodiscard]] ReactorStats stats() const noexcept;
 
  private:
-  static constexpr std::size_t kWheelSlots = 512;  // power of two
-
-  struct TimerEntry {
-    TimerId id = 0;
-    common::TimePoint deadline{};
-    exec::Task task;
-  };
-
-  struct WheelSlot {
-    std::vector<TimerEntry> entries;
-    common::TimePoint min_deadline = common::TimePoint::max();
-  };
-
   void run();
   void drain_tasks();
   void wake();
 
   // Timer internals; reactor thread only.
-  std::size_t slot_of(common::TimePoint deadline) const noexcept;
-  void insert_timer(TimerId id, common::TimePoint deadline, exec::Task cb);
-  void do_cancel(TimerId id);
   void fire_due_timers();
   /// Milliseconds until the earliest pending deadline (rounded up), 0 if
   /// one is already due, -1 when no timer is pending (block forever).
@@ -169,12 +143,7 @@ class Reactor final : public exec::Executor {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
 
-  // Hashed timer wheel; every member below is reactor-thread confined.
-  std::vector<WheelSlot> wheel_{kWheelSlots};
-  std::size_t timer_entries_ = 0;  ///< entries resident in the wheel
-  std::unordered_set<TimerId> live_;       ///< pending and not cancelled
-  std::unordered_set<TimerId> cancelled_;  ///< pending, to drop at expiry
-  std::atomic<TimerId> next_timer_id_{1};
+  common::DeadlineHeap<exec::Task> timers_;  ///< reactor-thread confined
 
   std::atomic<std::uint64_t> epoll_waits_{0};
   std::atomic<std::uint64_t> fd_events_{0};
@@ -182,7 +151,6 @@ class Reactor final : public exec::Executor {
   std::atomic<std::uint64_t> tasks_run_{0};
   std::atomic<std::uint64_t> timers_scheduled_{0};
   std::atomic<std::uint64_t> timers_fired_{0};
-  std::atomic<std::uint64_t> timers_cancelled_{0};
 
   std::jthread thread_;
 };

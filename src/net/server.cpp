@@ -242,8 +242,12 @@ void Server::stop() {
   //    barrier. Their completions may still be in flight to the reactor.
   rt_.wait_tag(drain_tag_);
   // 3. Close every connection (flushing what the completions queued), on
-  //    the reactor thread, behind any already-posted complete() tasks.
+  //    the reactor thread. The reactor queue is FIFO only per producer, so
+  //    complete() tasks posted by workers may still sit behind this one;
+  //    wait_tag() returned after they were pushed, so run them first.
   reactor_.post(exec::Task([this] {
+    while (reactor_.try_run_one()) {
+    }
     for (auto& [cid, conn] : conns_) {
       if (conn && !conn->closed) conn->flush();
     }
@@ -458,7 +462,6 @@ void Server::publish_counters() const {
   tracer.set_counter(p + "reactor.tasks_run", r.tasks_run);
   tracer.set_counter(p + "reactor.timers_scheduled", r.timers_scheduled);
   tracer.set_counter(p + "reactor.timers_fired", r.timers_fired);
-  tracer.set_counter(p + "reactor.timers_cancelled", r.timers_cancelled);
 }
 
 }  // namespace evmp::net

@@ -91,8 +91,8 @@ class Server {
     /// closes until a connection dies.
     std::size_t max_connections = 0;
     /// Close connections with no traffic for this long (0 = off). Checked
-    /// by a per-connection wheel timer that re-arms itself, so an active
-    /// connection never pays a cancel.
+    /// by a per-connection reactor timer that re-arms itself, so activity
+    /// costs no timer bookkeeping.
     common::Nanos idle_timeout{0};
     /// Counter prefix, reactor name, and the virtual-target name the
     /// reactor is registered under.

@@ -12,7 +12,6 @@
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "event/event_loop.hpp"
-#include "net/reactor.hpp"
 
 namespace evmp::io {
 namespace {
@@ -186,54 +185,6 @@ TEST(AsyncIo, JitterStaysWithinBounds) {
     EXPECT_GE(ms, 6.0);
     EXPECT_LE(ms, 40.0);
   }
-}
-
-TEST(AsyncIo, ReactorTimerWheelDrivesCompletions) {
-  // attach_reactor: the completion thread stops running its own timed
-  // waits and sleeps until the single reactor wheel timer wakes it —
-  // operations must still retire on time, and the wakeup counter proves
-  // the timing came off the wheel.
-  net::Reactor reactor("t.io");
-  reactor.start();
-  auto cfg = fast_config();
-  cfg.disk.base_latency = common::Millis{5};
-  AsyncIoService io(cfg);
-  io.attach_reactor(reactor);
-  auto a = io.read_file("wheel-a", 128);
-  auto b = io.read_file("wheel-b", 64);
-  a.handle().wait();
-  b.handle().wait();
-  EXPECT_EQ(a.size(), 128u);
-  EXPECT_EQ(b.size(), 64u);
-  EXPECT_EQ(io.operations_completed(), 2u);
-  EXPECT_GE(io.reactor_wakeups(), 1u);
-  io.shutdown();  // cancels the armed timer, drains the reactor queue
-  reactor.stop();
-  EXPECT_GE(reactor.stats().timers_scheduled, 1u);
-}
-
-TEST(AsyncIo, ReactorEarlierDeadlineRearmsTheTimer) {
-  // A later-armed operation with an earlier deadline must replace the
-  // pending wheel timer, not wait behind it.
-  net::Reactor reactor("t.io2");
-  reactor.start();
-  auto cfg = fast_config();
-  cfg.disk.base_latency = common::Millis{50};
-  cfg.network.base_latency = common::Millis{5};
-  cfg.network.bytes_per_sec = 1e12;
-  cfg.network.jitter_fraction = 0.0;
-  AsyncIoService io(cfg);
-  io.attach_reactor(reactor);
-  const common::Stopwatch sw;
-  auto slow = io.read_file("slow", 16);
-  auto fast = io.fetch_url("fast", 16);
-  fast.handle().wait();
-  const double fast_ms = sw.elapsed_ms();
-  EXPECT_LT(fast_ms, 40.0) << "network op must not wait out the disk timer";
-  EXPECT_FALSE(slow.handle().done());
-  slow.handle().wait();
-  io.shutdown();
-  reactor.stop();
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Unit tests for common/sharded_queue (ShardedMpmcQueue) and common/sync
-// primitives.
+// Unit tests for common/sharded_queue (ShardedMpmcQueue),
+// common/deadline_heap (DeadlineHeap) and common/sync primitives.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/deadline_heap.hpp"
 #include "common/sharded_queue.hpp"
 #include "common/sync.hpp"
+#include "executor/executor.hpp"
 
 namespace evmp::common {
 namespace {
@@ -265,6 +268,62 @@ TEST(ManualResetEvent, ResetBlocksAgain) {
   ev.wait();
   ev.reset();
   EXPECT_FALSE(ev.is_set());
+}
+
+// --- DeadlineHeap ----------------------------------------------------------
+
+TEST(DeadlineHeap, EqualDeadlinesPopInPushOrder) {
+  DeadlineHeap<int> h;
+  const TimePoint t0 = now();
+  for (int i = 0; i < 32; ++i) h.push(t0, i);
+  EXPECT_EQ(h.size(), 32u);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(h.pop(), i);
+  EXPECT_TRUE(h.empty());
+}
+
+TEST(DeadlineHeap, PopDueLeavesEntriesNotYetDue) {
+  DeadlineHeap<int> h;
+  EXPECT_EQ(h.next_due(), TimePoint::max());
+  const TimePoint t0 = now();
+  h.push(t0 + Millis{20}, 20);
+  h.push(t0 + Millis{10}, 10);
+  h.push(t0 + Millis{30}, 30);
+  EXPECT_EQ(h.next_due(), t0 + Millis{10});
+  EXPECT_FALSE(h.pop_due(t0).has_value());
+  EXPECT_EQ(h.pop_due(t0 + Millis{10}), 10);  // due == now counts as due
+  EXPECT_FALSE(h.pop_due(t0 + Millis{15}).has_value());
+  EXPECT_EQ(h.size(), 2u);
+  EXPECT_EQ(h.next_due(), t0 + Millis{20});
+  EXPECT_EQ(h.pop_due(t0 + Millis{40}), 20);
+  EXPECT_EQ(h.pop_due(t0 + Millis{40}), 30);
+  EXPECT_FALSE(h.pop_due(t0 + Millis{40}).has_value());
+}
+
+TEST(DeadlineHeap, PopDrainsInDeadlineOrder) {
+  DeadlineHeap<int> h;
+  const TimePoint t0 = now();
+  // Pushed out of order, with ties, so both keys matter.
+  const int delays[] = {7, 3, 9, 3, 1, 7, 0, 5};
+  for (int i = 0; i < 8; ++i) h.push(t0 + Millis{delays[i]}, i);
+  std::vector<int> order;
+  while (!h.empty()) order.push_back(h.pop());
+  EXPECT_EQ(order, (std::vector<int>{6, 4, 1, 3, 7, 0, 5, 2}));
+}
+
+TEST(DeadlineHeap, MoveOnlyPayloads) {
+  DeadlineHeap<exec::Task> tasks;
+  std::vector<int> ran;
+  const TimePoint t0 = now();
+  auto owned = std::make_unique<int>(2);
+  tasks.push(t0 + Millis{2},
+             exec::Task([&ran, p = std::move(owned)] { ran.push_back(*p); }));
+  tasks.push(t0 + Millis{1}, exec::Task([&ran] { ran.push_back(1); }));
+  while (auto task = tasks.pop_due(t0 + Millis{5})) (*task)();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+
+  DeadlineHeap<std::unique_ptr<int>> ptrs;
+  ptrs.push(t0, std::make_unique<int>(5));
+  EXPECT_EQ(*ptrs.pop(), 5);
 }
 
 }  // namespace
