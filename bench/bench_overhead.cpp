@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "event/event_loop.hpp"
@@ -121,6 +122,7 @@ namespace {
 
 using evmp::Async;
 using evmp::Runtime;
+using evmp::common::read_budget;
 
 /// Shared fixture state: one runtime with a worker pool.
 struct BenchRuntime {
@@ -284,29 +286,6 @@ void BM_EdtInvokeLater(benchmark::State& state) {
 BENCHMARK(BM_EdtInvokeLater);
 
 // --- steady-state allocation self-check (--alloc-check) -------------------
-
-/// Minimal key lookup in a flat JSON object: finds `"key" : <number>`.
-/// Returns `fallback` when the file or key is missing (the check then
-/// still runs against the default budget rather than silently passing).
-double read_budget(const std::string& path, const char* key,
-                   double fallback) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "alloc-check: cannot open %s; using budget %.3f\n",
-                 path.c_str(), fallback);
-    return fallback;
-  }
-  std::string text(1 << 16, '\0');
-  const std::size_t got = std::fread(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  text.resize(got);
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return fallback;
-  const std::size_t colon = text.find(':', at);
-  if (colon == std::string::npos) return fallback;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
 
 /// Measure steady-state allocations per nowait dispatch on the submitting
 /// thread. Paced in rounds (dispatch a burst, then join) so queue depth,

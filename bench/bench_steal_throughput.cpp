@@ -120,6 +120,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 namespace {
 
+using evmp::common::read_budget;
 using evmp::exec::WorkStealingExecutor;
 
 /// Post two children per task down to `depth`; leaves release the latch.
@@ -177,29 +178,6 @@ double run_regions_pooled(int regions, int width) {
 }
 
 // --- steady-state allocation self-check (--alloc-check) -------------------
-
-/// Minimal key lookup in a flat JSON object: finds `"key" : <number>`.
-/// Returns `fallback` when the file or key is missing (the check then
-/// still runs against the default budget rather than silently passing).
-double read_budget(const std::string& path, const char* key,
-                   double fallback) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "alloc-check: cannot open %s; using budget %.3f\n",
-                 path.c_str(), fallback);
-    return fallback;
-  }
-  std::string text(1 << 16, '\0');
-  const std::size_t got = std::fread(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  text.resize(got);
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return fallback;
-  const std::size_t colon = text.find(':', at);
-  if (colon == std::string::npos) return fallback;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
 
 /// Measure steady-state allocations per adaptive TeamPool lease. After a
 /// warm-up that parks a team and settles the governor's decay cycle, each

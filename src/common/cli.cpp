@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -70,6 +71,26 @@ std::vector<long> CliArgs::get_long_list(const std::string& name,
     out.push_back(std::strtol(tok.c_str(), nullptr, 10));
   }
   return out.empty() ? fallback : out;
+}
+
+double read_budget(const std::string& path, const char* key,
+                   double fallback) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s; using budget %.3f\n", path.c_str(),
+                 fallback);
+    return fallback;
+  }
+  std::string text(1 << 16, '\0');
+  const std::size_t got = std::fread(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  text.resize(got);
+  const std::string needle = std::string("\"") + key + "\"";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return fallback;
+  const std::size_t colon = text.find(':', at);
+  if (colon == std::string::npos) return fallback;
+  return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 }  // namespace evmp::common

@@ -44,4 +44,10 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// Minimal key lookup in a flat JSON object (bench/budgets.json): finds
+/// `"key" : <number>`. Returns `fallback` when the file or key is missing,
+/// so a check still runs against the default budget rather than silently
+/// passing.
+double read_budget(const std::string& path, const char* key, double fallback);
+
 }  // namespace evmp::common

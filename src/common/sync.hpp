@@ -1,12 +1,32 @@
 #pragma once
 // Small synchronisation helpers layered over <mutex>/<condition_variable>.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
+#include <thread>
 
 namespace evmp::common {
+
+/// Scoped test-and-set spinlock on an atomic_flag: for critical sections
+/// of a few instructions whose lock must stay trivially destructible
+/// (process-lifetime tables, per-executor registries).
+class SpinLockGuard {
+ public:
+  explicit SpinLockGuard(std::atomic_flag& flag) noexcept : flag_(flag) {
+    while (flag_.test_and_set(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  ~SpinLockGuard() { flag_.clear(std::memory_order_release); }
+  SpinLockGuard(const SpinLockGuard&) = delete;
+  SpinLockGuard& operator=(const SpinLockGuard&) = delete;
+
+ private:
+  std::atomic_flag& flag_;
+};
 
 /// A resettable countdown latch (std::latch cannot be reused, which the
 /// benchmark harnesses need between rounds).

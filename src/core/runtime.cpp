@@ -1,9 +1,9 @@
 #include "core/runtime.hpp"
 
-#include <chrono>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "analysis/wait_graph.hpp"
 #include "common/tracing.hpp"
@@ -270,62 +270,86 @@ std::vector<exec::TaskHandle> Runtime::invoke_target_batch(
   return handles;  // unreachable
 }
 
+namespace {
+thread_local int t_await_depth = 0;
+
+/// Open pumping barriers on this thread; exception-safe (a tag join
+/// rethrows its group's error).
+class DepthScope {
+ public:
+  explicit DepthScope(bool pumping) noexcept : pumping_(pumping) {
+    if (pumping_) ++t_await_depth;
+  }
+  ~DepthScope() {
+    if (pumping_) --t_await_depth;
+  }
+  DepthScope(const DepthScope&) = delete;
+  DepthScope& operator=(const DepthScope&) = delete;
+
+ private:
+  bool pumping_;
+};
+}  // namespace
+
+int Runtime::await_depth() noexcept { return t_await_depth; }
+
+template <class Wait, class Edge>
+exec::JoinStats Runtime::logical_barrier(Wait&& wait, Edge&& edge,
+                                         const char* what) {
+  exec::Executor* helper = exec::Executor::current();
+  if (helper != nullptr && t_await_depth >= kMaxAwaitDepth) {
+    stats_.await_depth_capped.fetch_add(1, std::memory_order_relaxed);
+    helper = nullptr;
+  }
+  const DepthScope depth(helper != nullptr);
+  exec::JoinStats stats;
+
+  // EVMP_VERIFY: record the barrier in the wait-for graph. A pumping
+  // member thread's edge is *soft* — the pump keeps its executor live, so
+  // the wait cannot saturate it — but a foreign or depth-capped thread
+  // parks for real.
+  analysis::WaitGraph* graph = analysis::WaitGraph::global();
+  if (graph == nullptr) {
+    wait(helper, std::nullopt, stats);
+  } else {
+    const analysis::WaitGraph::Waiter waiter = current_waiter();
+    auto [to, pending] = edge();
+    const analysis::WaitScope scope(*graph, waiter, to, pending, what,
+                                    /*hard=*/helper == nullptr);
+    std::optional<common::TimePoint> deadline;
+    if (graph->timeout().count() > 0) {
+      deadline = common::now() + graph->timeout();
+    }
+    if (!wait(helper, deadline, stats)) {
+      graph->fail_timeout(waiter, to, what);
+      wait(helper, std::nullopt, stats);  // a test handler swallowed it
+    }
+  }
+  if (stats.parks != 0) {
+    stats_.await_parks.fetch_add(stats.parks, std::memory_order_relaxed);
+  }
+  return stats;
+}
+
 void Runtime::await_completion(const exec::CompletionRef& state,
                                exec::Executor* target) {
   stats_.awaits.fetch_add(1, std::memory_order_relaxed);
-  exec::Executor* self = exec::Executor::current();
-
-  // EVMP_VERIFY: record the barrier in the wait-for graph. From a member
-  // thread the edge is *soft* — the pump below keeps this executor live,
-  // so the wait cannot saturate it — but a foreign thread parks for real.
-  analysis::WaitGraph* graph = analysis::WaitGraph::global();
-  std::optional<analysis::WaitScope> scope;
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  analysis::WaitGraph::Waiter waiter;
-  std::string to;
-  const char* what = "await logical barrier";
-  if (graph != nullptr) {
-    waiter = current_waiter();
-    to = target != nullptr ? std::string(target->name()) : "<completion>";
-    scope.emplace(*graph, waiter, to, target != nullptr ? target->pending() : 0,
-                  what, /*hard=*/self == nullptr);
-    if (graph->timeout().count() > 0) {
-      deadline = std::chrono::steady_clock::now() + graph->timeout();
-    }
-  }
-
-  if (self == nullptr) {
-    // Foreign thread: nothing to pump, so park on the completion futex and
-    // wake exactly when the block finishes (no polling quantum).
-    if (deadline && !state->wait_for(graph->timeout())) {
-      graph->fail_timeout(waiter, to, what);
-    }
-    state->wait();
-    if (analysis::RaceCheck* rc = analysis::RaceCheck::active()) {
-      rc->on_join(state.get());
-    }
-    state->rethrow_if_error();
-    return;
-  }
-  std::uint64_t pumped = 0;
-  while (!state->done()) {
-    // "while B is not finished do T.processAnotherEventHandler()":
-    // a member thread drains its own executor's queue (the EDT dispatches
-    // other events; a pool thread runs other tasks).
-    if (self->try_run_one()) {
-      ++pumped;
-      continue;
-    }
-    // Nothing pending right now: block briefly instead of busy-spinning,
-    // then re-check both conditions.
-    state->wait_for(std::chrono::microseconds{200});
-    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
-      graph->fail_timeout(waiter, to, what);
-      deadline.reset();  // test handlers swallow the report; don't re-fire
-    }
-  }
-  if (pumped != 0) {
-    stats_.await_pumped.fetch_add(pumped, std::memory_order_relaxed);
+  // "while B is not finished do T.processAnotherEventHandler()": a member
+  // thread drains its own executor's queue (the EDT dispatches other
+  // events; a pool thread runs other tasks) and parks when it is empty.
+  const exec::JoinStats stats = logical_barrier(
+      [&](exec::Executor* helper, std::optional<common::TimePoint> deadline,
+          exec::JoinStats& js) {
+        return exec::join(*state, helper, deadline, js);
+      },
+      [&] {
+        return std::pair{target != nullptr ? std::string(target->name())
+                                           : std::string("<completion>"),
+                         target != nullptr ? target->pending() : 0};
+      },
+      "await logical barrier");
+  if (stats.pumped != 0) {
+    stats_.await_pumped.fetch_add(stats.pumped, std::memory_order_relaxed);
   }
   if (analysis::RaceCheck* rc = analysis::RaceCheck::active()) {
     rc->on_join(state.get());
@@ -339,41 +363,17 @@ void Runtime::await_handle(const exec::TaskHandle& handle) {
 }
 
 void Runtime::wait_tag(std::string_view tag) {
-  exec::Executor* self = exec::Executor::current();
-  std::function<bool()> help;
-  if (self != nullptr) help = [self] { return self->try_run_one(); };
   TagGroup& group = tags_.group(tag);
-
-  analysis::WaitGraph* graph = analysis::WaitGraph::global();
-  if (graph == nullptr) {
-    group.wait(help);
-    if (analysis::RaceCheck* rc = analysis::RaceCheck::active()) {
-      rc->on_tag_join(&group);
-    }
-    return;
-  }
   // Tag nodes never have outgoing edges, so they cannot sit on a wait-for
-  // cycle themselves; a member thread's join is soft (it pumps), a foreign
-  // thread's join is hard. The timeout watchdog rides the help callback.
-  const analysis::WaitGraph::Waiter waiter = current_waiter();
-  const std::string to = "tag:" + std::string(tag);
-  const char* what = "wait(name-tag)";
-  const auto in_flight = group.in_flight();
-  analysis::WaitScope scope(
-      *graph, waiter, to,
-      in_flight > 0 ? static_cast<std::size_t>(in_flight) : 0, what,
-      /*hard=*/self == nullptr);
-  if (graph->timeout().count() > 0) {
-    const auto deadline = std::chrono::steady_clock::now() + graph->timeout();
-    std::function<bool()> inner = std::move(help);
-    help = [graph, waiter, to, what, deadline, inner] {
-      if (std::chrono::steady_clock::now() >= deadline) {
-        graph->fail_timeout(waiter, to, what);
-      }
-      return inner && inner();
-    };
-  }
-  group.wait(help);
+  // cycle themselves.
+  logical_barrier(
+      [&](exec::Executor* helper, std::optional<common::TimePoint> deadline,
+          exec::JoinStats& js) { return group.wait(helper, deadline, js); },
+      [&] {
+        return std::pair{"tag:" + std::string(tag),
+                         static_cast<std::size_t>(group.in_flight())};
+      },
+      "wait(name-tag)");
   if (analysis::RaceCheck* rc = analysis::RaceCheck::active()) {
     rc->on_tag_join(&group);
   }
@@ -391,6 +391,9 @@ RuntimeStats Runtime::stats() const {
   out.batch_posts = stats_.batch_posts.load(std::memory_order_relaxed);
   out.awaits = stats_.awaits.load(std::memory_order_relaxed);
   out.await_pumped = stats_.await_pumped.load(std::memory_order_relaxed);
+  out.await_parks = stats_.await_parks.load(std::memory_order_relaxed);
+  out.await_depth_capped =
+      stats_.await_depth_capped.load(std::memory_order_relaxed);
   out.default_waits = stats_.default_waits.load(std::memory_order_relaxed);
   return out;
 }
@@ -401,6 +404,8 @@ void Runtime::reset_stats() {
   stats_.batch_posts.store(0, std::memory_order_relaxed);
   stats_.awaits.store(0, std::memory_order_relaxed);
   stats_.await_pumped.store(0, std::memory_order_relaxed);
+  stats_.await_parks.store(0, std::memory_order_relaxed);
+  stats_.await_depth_capped.store(0, std::memory_order_relaxed);
   stats_.default_waits.store(0, std::memory_order_relaxed);
 }
 

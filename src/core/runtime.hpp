@@ -64,6 +64,8 @@ struct RuntimeStats {
   std::uint64_t batch_posts = 0;       ///< invoke_target_batch submissions
   std::uint64_t awaits = 0;
   std::uint64_t await_pumped = 0;      ///< handlers pumped inside awaits
+  std::uint64_t await_parks = 0;       ///< parks in await / wait(name-tag)
+  std::uint64_t await_depth_capped = 0;  ///< barriers at kMaxAwaitDepth
   std::uint64_t default_waits = 0;
 };
 
@@ -197,6 +199,16 @@ class Runtime {
   /// queued work while waiting. Rethrows the first exception of the group.
   void wait_tag(std::string_view tag);
 
+  /// Nesting cap of the logical barrier. A member thread already inside
+  /// this many pumping barriers (await or wait(name-tag)) does not pump
+  /// in the next one: it parks on the awaited completion or tag alone,
+  /// like a foreign thread, and EVMP_VERIFY records the wait as a hard
+  /// edge (counted in RuntimeStats::await_depth_capped).
+  static constexpr int kMaxAwaitDepth = 64;
+
+  /// Pumping barriers currently open on the calling thread.
+  [[nodiscard]] static int await_depth() noexcept;
+
   /// Fluent directive entry point: rt.target("worker").await([&]{...});
   TargetRef target(std::string tname);
 
@@ -263,6 +275,15 @@ class Runtime {
   void await_completion(const exec::CompletionRef& state,
                         exec::Executor* target = nullptr);
 
+  /// The barrier shared by await and wait(name-tag). `wait(helper,
+  /// deadline, stats)` joins the awaited object (false once the deadline
+  /// passed); the caller's executor helps unless the thread is foreign or
+  /// at kMaxAwaitDepth. `edge()` names the awaited side for the
+  /// EVMP_VERIFY wait-for graph (called only with verification on); the
+  /// graph's timeout becomes the park deadline.
+  template <class Wait, class Edge>
+  exec::JoinStats logical_barrier(Wait&& wait, Edge&& edge, const char* what);
+
   /// A kDefault hard wait, instrumented for the EVMP_VERIFY wait-for
   /// graph. With verification off this is exactly state->wait().
   void verified_wait(const exec::CompletionRef& state,
@@ -288,6 +309,8 @@ class Runtime {
     std::atomic<std::uint64_t> batch_posts{0};
     std::atomic<std::uint64_t> awaits{0};
     std::atomic<std::uint64_t> await_pumped{0};
+    std::atomic<std::uint64_t> await_parks{0};
+    std::atomic<std::uint64_t> await_depth_capped{0};
     std::atomic<std::uint64_t> default_waits{0};
   };
   AtomicStats stats_;

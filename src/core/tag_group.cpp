@@ -1,7 +1,5 @@
 #include "core/tag_group.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <thread>
 
 namespace evmp {
@@ -14,13 +12,6 @@ inline void cpu_relax() noexcept {
   std::this_thread::yield();
 #endif
 }
-
-// On a single-core machine a leaver cannot progress while the waiter
-// pause-spins, so the relax phase only delays the hand-over yield.
-bool relax_spins_enabled() noexcept {
-  static const bool enabled = std::thread::hardware_concurrency() > 1;
-  return enabled;
-}
 }  // namespace
 
 void TagGroup::leave(std::exception_ptr error) noexcept {
@@ -32,38 +23,33 @@ void TagGroup::leave(std::exception_ptr error) noexcept {
   }
   // The decrement is the LAST access to this group: a waiter observing
   // zero may immediately destroy the registry (runtime teardown). Atomic
-  // RMWs extend the release sequence, so a waiter's acquire load of zero
-  // sees every leaver's prior writes, including the error publication.
-  count_.fetch_sub(1, std::memory_order_release);
+  // RMWs extend the release sequence, so a waiter's load of zero sees
+  // every leaver's prior writes, including the error publication.
+  const std::uint64_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
+  const auto parker = static_cast<std::uint32_t>(prev >> kParkerShift);
+  if ((prev & kCountMask) == 1 && parker != 0) {
+    common::Parker::from_id(parker).events.notify_all();
+  }
 }
 
-void TagGroup::wait(const std::function<bool()>& try_help) {
-  // Lock-free join: poll the counter, helping when a helper is supplied.
-  // Backoff in three phases: pause instructions (multi-core: leavers are
-  // often a cache miss away), then sched_yields (single-core: the leaver
-  // cannot decrement until it gets the CPU, and a yield hands it over
-  // directly), then escalating naps capped at 100 us — the quantum the
-  // seed's condvar path used between help attempts.
-  int spins = 0;
-  std::chrono::nanoseconds nap{1000};
-  while (count_.load(std::memory_order_acquire) > 0) {
-    if (try_help && try_help()) {
-      spins = 0;
-      nap = std::chrono::nanoseconds{1000};
-      continue;
+common::EventCount& TagGroup::watch(common::Parker& mine) noexcept {
+  std::uint64_t w = word_.load(std::memory_order_seq_cst);
+  for (;;) {
+    if (const auto id = static_cast<std::uint32_t>(w >> kParkerShift)) {
+      return common::Parker::from_id(id).events;
     }
-    ++spins;
-    if (spins < 64 && relax_spins_enabled()) {
-      cpu_relax();
-      continue;
+    const std::uint64_t named =
+        w | (static_cast<std::uint64_t>(mine.id) << kParkerShift);
+    if (word_.compare_exchange_weak(w, named, std::memory_order_seq_cst)) {
+      return mine.events;
     }
-    if (spins < 320) {
-      std::this_thread::yield();
-      continue;
-    }
-    std::this_thread::sleep_for(nap);
-    nap = std::min(nap * 2, std::chrono::nanoseconds{100000});
   }
+}
+
+bool TagGroup::wait(exec::Executor* helper,
+                    std::optional<common::TimePoint> deadline,
+                    exec::JoinStats& stats) {
+  if (!exec::join(*this, helper, deadline, stats, kSpinYields)) return false;
   if (has_error_.load(std::memory_order_acquire)) {
     std::exception_ptr err;
     while (error_lock_.test_and_set(std::memory_order_acquire)) cpu_relax();
@@ -73,6 +59,7 @@ void TagGroup::wait(const std::function<bool()>& try_help) {
     error_lock_.clear(std::memory_order_release);
     if (err) std::rethrow_exception(err);
   }
+  return true;
 }
 
 TagRegistry::TagRegistry() {

@@ -6,14 +6,18 @@
 // encountering thread suspends until all the name-tag asynchronous target
 // block instances finish."
 //
-// Perf shape: enter/leave are single atomic RMWs (the seed took a mutex on
-// both sides of every name_as block), and joining polls the counter
-// lock-free — a bounded spin, then escalating naps — so the `await`-style
-// help-pump never touches a lock. leave()'s final action on the group is
-// the decrement itself (no post-decrement notify), which keeps the
-// seed's teardown guarantee: a waiter may destroy the runtime the moment
-// it observes the count at zero. The exception slot is a cold path guarded
-// by a spinlock and flagged by an atomic.
+// Perf shape: enter/leave are single atomic RMWs on one word, and joining
+// is exec::join — the helper pump plus a pause/yield ladder, then a park
+// on the joiner's common::Parker — so the help pump never touches a lock.
+// The word packs the in-flight count (low 40 bits) with the id of the
+// parker the last leaver notifies (high 24 bits). leave()'s final access
+// to the group is its decrement; the notify that follows reads the parker
+// id from the decrement's result and touches only the never-freed parker.
+// That keeps the teardown guarantee: a waiter may destroy the runtime the
+// moment it observes the count at zero. The published parker stays in the
+// word after the join (a stale one costs one spurious notify per drain;
+// clearing it could strand a joiner that shares it). The exception slot
+// is a cold path guarded by a spinlock and flagged by an atomic.
 
 #include <array>
 #include <atomic>
@@ -22,9 +26,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+
+#include "common/clock.hpp"
+#include "common/event_count.hpp"
+#include "executor/join.hpp"
 
 namespace evmp {
 
@@ -32,24 +41,38 @@ namespace evmp {
 class TagGroup {
  public:
   /// Register one more in-flight block under this tag.
-  void enter() noexcept { count_.fetch_add(1, std::memory_order_relaxed); }
+  void enter() noexcept { word_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Mark one block finished; `error` is the block's exception (nullptr on
   /// success). The first error is kept and rethrown by the next wait().
   void leave(std::exception_ptr error) noexcept;
 
-  /// Block until the in-flight count reaches zero. While waiting,
-  /// `try_help()` is polled (if provided) so member threads can process
-  /// other queued work instead of idling; it returns true when it made
-  /// progress. Rethrows (and clears) the first stored error.
-  void wait(const std::function<bool()>& try_help);
+  /// Block until the in-flight count reaches zero, running queued tasks of
+  /// `helper` (the caller's own executor, or nullptr) meanwhile. Returns
+  /// false if `deadline` passed first; otherwise rethrows (and clears) the
+  /// first stored error and returns true.
+  bool wait(exec::Executor* helper, std::optional<common::TimePoint> deadline,
+            exec::JoinStats& stats);
 
   [[nodiscard]] int in_flight() const noexcept {
-    return static_cast<int>(count_.load(std::memory_order_acquire));
+    return static_cast<int>(word_.load(std::memory_order_acquire) &
+                            kCountMask);
   }
 
+  /// exec::join protocol.
+  [[nodiscard]] bool done() const noexcept {
+    return (word_.load(std::memory_order_seq_cst) & kCountMask) == 0;
+  }
+  common::EventCount& watch(common::Parker& mine) noexcept;
+
  private:
-  std::atomic<std::int64_t> count_{0};
+  static constexpr int kParkerShift = 40;
+  static constexpr std::uint64_t kCountMask = (1ULL << kParkerShift) - 1;
+  /// Yields before parking: a fan-out's last blocks usually finish within
+  /// this ladder, so most tag joins never reach the futex.
+  static constexpr int kSpinYields = 256;
+
+  std::atomic<std::uint64_t> word_{0};
   std::atomic<bool> has_error_{false};
   // The error slot is written at most once per wait cycle and read only
   // after has_error_ reads true; the flag spinlock covers the cold path.

@@ -42,6 +42,7 @@ void EventLoop::post(exec::Task task) {
   }
   queue_.push_back(QueuedEvent{common::now(), std::move(task)});
   cv_.notify_all();
+  wake_parked_members();  // an awaiting EDT parks outside cv_
 }
 
 void EventLoop::post_batch(std::span<exec::Task> tasks) {
@@ -59,6 +60,7 @@ void EventLoop::post_batch(std::span<exec::Task> tasks) {
   }
   batch_posts_.fetch_add(1, std::memory_order_relaxed);
   cv_.notify_all();  // under the lock: see post()
+  wake_parked_members();
 }
 
 void EventLoop::post_delayed(exec::Task task, common::Nanos delay) {
@@ -71,6 +73,7 @@ void EventLoop::post_delayed(exec::Task task, common::Nanos delay) {
   const common::TimePoint due = common::now() + delay;
   timers_.push(due, QueuedEvent{due, std::move(task)});
   cv_.notify_all();  // under the lock: see post()
+  wake_parked_members();  // a parked await re-reads next_timer_due()
 }
 
 void EventLoop::invoke_and_wait(exec::Task task) {
@@ -93,6 +96,12 @@ void EventLoop::invoke_and_wait(exec::Task task) {
 std::size_t EventLoop::pending() const {
   std::scoped_lock lk(mu_);
   return queue_.size();
+}
+
+std::optional<common::TimePoint> EventLoop::next_timer_due() const {
+  std::scoped_lock lk(mu_);
+  if (timers_.empty()) return std::nullopt;
+  return timers_.next_due();
 }
 
 void EventLoop::dispatch(QueuedEvent ev) {

@@ -71,6 +71,10 @@ class EventLoop final : public exec::Executor {
 
   [[nodiscard]] std::size_t concurrency() const noexcept override { return 1; }
   [[nodiscard]] std::size_t pending() const override;
+  /// Due time of the earliest post_delayed event: an EDT parked in
+  /// `await` wakes by then to dispatch it.
+  [[nodiscard]] std::optional<common::TimePoint> next_timer_due()
+      const override;
 
   // --- Swing-style helpers -----------------------------------------------
   /// True when the calling thread is the EDT

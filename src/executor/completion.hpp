@@ -5,26 +5,35 @@
 // any thread that later joins it (the paper's `default` wait, `await`
 // logical barrier, and `wait(name-tag)` all observe one of these).
 //
-// Perf shape (the dispatch fast path): the seed used mutex+condvar per
-// state and make_shared per directive — two kernel-sleep primitives and a
-// control-block allocation on every submission. Now the state machine is a
-// single atomic word (spin-then-park via C++20 atomic wait/notify, i.e. a
-// futex on Linux), the exception slot is published with release/acquire
-// ordering, and states are recycled through a thread-cached pool
-// (common::ObjectPool) behind an intrusive refcounted handle. A state
-// returns to the pool only when its last reference drops, so a pooled
-// state can never be recycled under a live waiter: every waiter reaches
-// the state through a reference-holding handle.
+// Perf shape (the dispatch fast path): the state machine is a single
+// atomic word, the exception slot is published by the phase store, and
+// states are recycled through a thread-cached pool (common::ObjectPool)
+// behind an intrusive refcounted handle. A state returns to the pool only
+// when its last reference drops, so a pooled state can never be recycled
+// under a live waiter: every waiter reaches the state through a
+// reference-holding handle.
+//
+// Joining is exec::join: a bounded pause/yield ladder (target blocks are
+// often shorter than a futex round trip), then a park on the joiner's
+// common::Parker, which the joiner publishes in the state's waiter slot.
+// set_done()/set_exception() store the phase and then notify the parker
+// named in that slot — one extra load when nobody parked. Both sides use
+// seq_cst on the phase and the slot, so either the setter sees the parker
+// or the joiner's re-check sees the phase. Joiners of one state share the
+// first joiner's parker (notify_all wakes them all). The setter touches
+// the state after the phase store, so it must hold a reference (or
+// otherwise keep the state alive) until set_done() returns.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <thread>
+#include <optional>
 #include <utility>
 
+#include "common/event_count.hpp"
 #include "common/object_pool.hpp"
+#include "executor/join.hpp"
 
 namespace evmp::exec {
 
@@ -41,21 +50,21 @@ class CompletionState {
   /// pending, wrapped in a reference-holding handle.
   static CompletionRef make();
 
-  /// Mark successful completion and wake all waiters.
+  /// Mark successful completion and wake the parked joiners.
   void set_done() {
-    phase_.store(kDone, std::memory_order_release);
-    phase_.notify_all();
+    phase_.store(kDone, std::memory_order_seq_cst);
+    wake_joiners();
   }
 
   /// Mark failed completion; the exception is rethrown at join points.
   void set_exception(std::exception_ptr ep) {
-    error_ = std::move(ep);  // published by the release store below
-    phase_.store(kError, std::memory_order_release);
-    phase_.notify_all();
+    error_ = std::move(ep);  // published by the phase store below
+    phase_.store(kError, std::memory_order_seq_cst);
+    wake_joiners();
   }
 
   [[nodiscard]] bool done() const {
-    return phase_.load(std::memory_order_acquire) != kPending;
+    return phase_.load(std::memory_order_seq_cst) != kPending;
   }
 
   [[nodiscard]] bool failed() const {
@@ -66,44 +75,37 @@ class CompletionState {
   /// thread observes the same exception (OpenMP has a single join point,
   /// but name_as tags may legally be waited on more than once).
   void wait() {
-    std::uint32_t phase = spin_for_completion();
-    while (phase == kPending) {
-      phase_.wait(kPending, std::memory_order_acquire);
-      phase = phase_.load(std::memory_order_acquire);
-    }
-    if (phase == kError) std::rethrow_exception(error_);
+    JoinStats stats;
+    join(*this, nullptr, std::nullopt, stats);
+    rethrow_if_error();
   }
 
-  /// Block up to `timeout`; true when complete (rethrows stored
-  /// exception). Non-template on purpose: one instantiation serves every
-  /// caller of the hot path (the await pump passes its quantum here).
-  /// Timed parking is a bounded spin plus escalating naps — atomic waits
-  /// have no timed form, and the await help-pump wants a lock-free poll.
-  bool wait_for(std::chrono::nanoseconds timeout) {
-    std::uint32_t phase = spin_for_completion();
-    if (phase == kPending) {
-      const auto deadline = std::chrono::steady_clock::now() + timeout;
-      std::chrono::nanoseconds nap{1000};
-      for (;;) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) return false;
-        std::this_thread::sleep_for(std::min(
-            nap, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     deadline - now)));
-        nap = std::min(nap * 2, std::chrono::nanoseconds{100000});
-        phase = phase_.load(std::memory_order_acquire);
-        if (phase != kPending) break;
-      }
-    }
-    if (phase == kError) std::rethrow_exception(error_);
+  /// Block until completion or `deadline`; true when complete (rethrows
+  /// a stored exception), false on timeout.
+  bool wait_until(common::TimePoint deadline) {
+    JoinStats stats;
+    if (!join(*this, nullptr, deadline, stats)) return false;
+    rethrow_if_error();
     return true;
   }
 
-  /// Forwarding shim kept for callers with arbitrary duration types.
+  /// Block up to `timeout`; see wait_until().
   template <class Rep, class Period>
   bool wait_for(std::chrono::duration<Rep, Period> timeout) {
-    return wait_for(
+    return wait_until(
+        common::now() +
         std::chrono::duration_cast<std::chrono::nanoseconds>(timeout));
+  }
+
+  /// exec::join: publish `mine` as the parker the setter notifies, or
+  /// return the parker an earlier joiner already published.
+  common::EventCount& watch(common::Parker& mine) noexcept {
+    common::EventCount* published = nullptr;
+    if (waiter_.compare_exchange_strong(published, &mine.events,
+                                        std::memory_order_seq_cst)) {
+      return mine.events;
+    }
+    return *published;
   }
 
   /// Rethrow the stored exception, if any (call only after done()).
@@ -134,41 +136,17 @@ class CompletionState {
   static constexpr std::uint32_t kDone = 1;
   static constexpr std::uint32_t kError = 2;
 
-  /// Brief bounded spin before parking: target blocks are often shorter
-  /// than a futex round trip. Two phases: cheap pause instructions first
-  /// (multi-core: catches completions racing this join), then a few
-  /// sched_yields (single-core: hands the CPU to the worker so the block
-  /// can actually finish) — only then does the caller pay the futex park.
-  std::uint32_t spin_for_completion() const noexcept {
-    std::uint32_t phase = phase_.load(std::memory_order_acquire);
-    if (spin_pauses() > 0) {
-      for (int i = 0; i < spin_pauses() && phase == kPending; ++i) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#else
-        std::this_thread::yield();
-#endif
-        phase = phase_.load(std::memory_order_acquire);
-      }
+  void wake_joiners() noexcept {
+    if (common::EventCount* parker =
+            waiter_.load(std::memory_order_seq_cst)) {
+      parker->notify_all();
     }
-    for (int i = 0; i < 16 && phase == kPending; ++i) {
-      std::this_thread::yield();
-      phase = phase_.load(std::memory_order_acquire);
-    }
-    return phase;
-  }
-
-  /// Pause-spin budget before yielding. Zero on single-core machines: the
-  /// completing thread cannot make progress while this one pauses, so
-  /// spinning only delays the yield that lets it run.
-  static int spin_pauses() noexcept {
-    static const int pauses =
-        std::thread::hardware_concurrency() > 1 ? 128 : 0;
-    return pauses;
   }
 
   std::atomic<std::uint32_t> phase_{kPending};
   std::atomic<std::uint32_t> refs_{0};
+  /// Parker of the first joiner that parked (parkers are never freed).
+  std::atomic<common::EventCount*> waiter_{nullptr};
   bool pooled_ = false;
   std::exception_ptr error_;
 };
@@ -236,6 +214,7 @@ inline CompletionRef CompletionState::make() {
   state->pooled_ = true;
   state->error_ = nullptr;
   state->refs_.store(1, std::memory_order_relaxed);
+  state->waiter_.store(nullptr, std::memory_order_relaxed);
   state->phase_.store(kPending, std::memory_order_relaxed);
   return CompletionRef(state);
 }

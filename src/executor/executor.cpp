@@ -2,7 +2,9 @@
 
 #include <exception>
 
+#include "common/event_count.hpp"
 #include "common/logging.hpp"
+#include "common/sync.hpp"
 #include "common/tracing.hpp"
 
 namespace evmp::exec {
@@ -48,6 +50,34 @@ void Executor::run_task(Task& task) noexcept {
   executed_.fetch_add(1, std::memory_order_relaxed);
   if (tracing) {
     common::Tracer::instance().record(name_, "executor", start, common::now());
+  }
+}
+
+Executor::ParkedMember::ParkedMember(Executor* executor,
+                                     common::EventCount& parker) noexcept
+    : executor_(executor), parker_(&parker) {
+  if (executor_ == nullptr) return;
+  common::SpinLockGuard lk(executor_->parked_lock_);
+  next_ = executor_->parked_head_;
+  executor_->parked_head_ = this;
+  executor_->parked_count_.fetch_add(1, std::memory_order_seq_cst);
+}
+
+Executor::ParkedMember::~ParkedMember() {
+  if (executor_ == nullptr) return;
+  common::SpinLockGuard lk(executor_->parked_lock_);
+  ParkedMember** link = &executor_->parked_head_;
+  while (*link != this) link = &(*link)->next_;
+  *link = next_;
+  executor_->parked_count_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Executor::notify_parked_members() noexcept {
+  // Under the lock: a registration on a joiner's stack is unlinked only
+  // under it, and parkers themselves are never freed.
+  common::SpinLockGuard lk(parked_lock_);
+  for (ParkedMember* m = parked_head_; m != nullptr; m = m->next_) {
+    m->parker_->notify_all();
   }
 }
 

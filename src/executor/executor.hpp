@@ -11,11 +11,17 @@
 
 #include <atomic>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 
+#include "common/clock.hpp"
 #include "executor/unique_function.hpp"
+
+namespace evmp::common {
+class EventCount;
+}  // namespace evmp::common
 
 namespace evmp::exec {
 
@@ -75,6 +81,14 @@ class Executor {
   /// Returns false when nothing was run (empty queue or unsupported).
   virtual bool try_run_one() = 0;
 
+  /// Earliest instant at which try_run_one() finds work that was not
+  /// posted: a pending timer falling due. A member thread parked in a join
+  /// wakes no later than this. Default: no timers.
+  [[nodiscard]] virtual std::optional<common::TimePoint> next_timer_due()
+      const {
+    return std::nullopt;
+  }
+
   /// Number of threads serving this executor.
   [[nodiscard]] virtual std::size_t concurrency() const noexcept = 0;
 
@@ -93,7 +107,41 @@ class Executor {
   /// foreign threads, e.g. main()).
   static Executor* current() noexcept;
 
+  /// Member threads currently parked in a join on this executor's behalf
+  /// (each registered as a ParkedMember).
+  [[nodiscard]] std::uint32_t parked_members() const noexcept {
+    return parked_count_.load(std::memory_order_relaxed);
+  }
+
+  /// Registration of a member thread parked in a join (exec::join): while
+  /// it lives, every task posted to the executor notifies `parker`. A null
+  /// executor makes it a no-op. Registration precedes the joiner's final
+  /// try_run_one() re-check, so a post either is seen by that re-check or
+  /// sees the registration (DESIGN.md §9.2).
+  class ParkedMember {
+   public:
+    ParkedMember(Executor* executor, common::EventCount& parker) noexcept;
+    ~ParkedMember();
+    ParkedMember(const ParkedMember&) = delete;
+    ParkedMember& operator=(const ParkedMember&) = delete;
+
+   private:
+    friend class Executor;
+    Executor* executor_;
+    common::EventCount* parker_;
+    ParkedMember* next_ = nullptr;
+  };
+
  protected:
+  /// The post-side half of the park protocol: every post path calls this
+  /// once its task is visible to try_run_one() (and post_delayed once its
+  /// timer is armed). One seq_cst load when no member is parked.
+  void wake_parked_members() noexcept {
+    if (parked_count_.load(std::memory_order_seq_cst) != 0) {
+      notify_parked_members();
+    }
+  }
+
   /// Run a task with the executor-affiliation and exception protocol all
   /// implementations share. Exceptions escaping the task go to the
   /// unhandled-exception hook (completion-tracked tasks wrap themselves in
@@ -114,8 +162,13 @@ class Executor {
   };
 
  private:
+  void notify_parked_members() noexcept;
+
   std::string name_;
   std::atomic<std::uint64_t> executed_{0};
+  std::atomic<std::uint32_t> parked_count_{0};
+  std::atomic_flag parked_lock_ = ATOMIC_FLAG_INIT;
+  ParkedMember* parked_head_ = nullptr;  ///< guarded by parked_lock_
 };
 
 }  // namespace evmp::exec

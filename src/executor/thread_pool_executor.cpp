@@ -32,11 +32,15 @@ void ThreadPoolExecutor::post(Task task) {
   if (!queue_.push(std::move(task))) {
     EVMP_LOG_WARN << "task posted to shut-down pool '" << name()
                   << "' was dropped";
+    return;
   }
+  wake_parked_members();
 }
 
 bool ThreadPoolExecutor::try_post(Task task) {
-  return queue_.try_push(std::move(task));
+  if (!queue_.try_push(std::move(task))) return false;
+  wake_parked_members();
+  return true;
 }
 
 void ThreadPoolExecutor::post_batch(std::span<Task> tasks) {
@@ -44,7 +48,9 @@ void ThreadPoolExecutor::post_batch(std::span<Task> tasks) {
   if (queue_.push_batch(tasks) == 0) {
     EVMP_LOG_WARN << "batch of " << tasks.size() << " tasks posted to "
                   << "shut-down pool '" << name() << "' was dropped";
+    return;
   }
+  wake_parked_members();
 }
 
 bool ThreadPoolExecutor::try_run_one() {

@@ -76,11 +76,15 @@ void WorkStealingExecutor::post(Task task) {
   if (self >= 0) {
     // Own deque, LIFO end: no lock, no RMW — slot store + release fence.
     workers_[static_cast<std::size_t>(self)]->deque.push_bottom(node);
+    // The deque is lock-free, so order the push before the parked-member
+    // check explicitly (the injection queue's shard lock does it there).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
   } else {
     // Foreign threads may not touch a Chase–Lev bottom; inject instead.
     injection_.push(node);
   }
   idle_.notify_one();
+  wake_parked_members();
 }
 
 void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
@@ -100,6 +104,7 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
       node->fn = std::move(task);
       deque.push_bottom(node);
     }
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // see post()
   } else {
     // Foreign burst: one injection shard for the whole batch keeps its
     // relative order FIFO; chunked staging keeps this path heap-free.
@@ -119,6 +124,7 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   }
   batch_posts_.fetch_add(1, std::memory_order_relaxed);
   idle_.notify_all();  // a batch may satisfy many parked workers
+  wake_parked_members();
 }
 
 bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {

@@ -154,6 +154,7 @@ ReactorStats Reactor::stats() const noexcept {
 }
 
 void Reactor::wake() {
+  wake_parked_members();  // the reactor thread may be parked in an await
   // Skip the syscall while a previous wake is still unconsumed; the
   // seq_cst exchange pairs with the loop's flag clear (see run()) so a
   // push is never stranded behind a cleared flag.

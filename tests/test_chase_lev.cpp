@@ -250,5 +250,53 @@ TEST(EventCount, NotifyAllReleasesEveryWaiter) {
   EXPECT_EQ(woken.load(), kWaiters);
 }
 
+TEST(EventCount, TimedCommitReturnsFalseAtDeadline) {
+  EventCount ec;
+  const auto start = now();
+  const auto key = ec.prepare_wait();
+  EXPECT_FALSE(ec.commit_wait_until(key, start + Millis{5}));
+  EXPECT_GE(now() - start, Millis{5});
+  EXPECT_FALSE(ec.has_waiters());
+  // A deadline already in the past does not sleep at all.
+  const auto stale = ec.prepare_wait();
+  EXPECT_FALSE(ec.commit_wait_until(stale, start));
+}
+
+TEST(EventCount, TimedCommitWakesOnNotify) {
+  EventCount ec;
+  std::atomic<bool> go{false};
+  std::thread notifier([&] {
+    std::this_thread::sleep_for(Millis{5});
+    go.store(true, std::memory_order_release);
+    ec.notify_one();
+  });
+  const auto start = now();
+  while (!go.load(std::memory_order_acquire)) {
+    const auto key = ec.prepare_wait();
+    if (go.load(std::memory_order_acquire)) {
+      ec.cancel_wait();
+      break;
+    }
+    ec.commit_wait_until(key, start + std::chrono::seconds{10});
+  }
+  notifier.join();
+  // Woken by the notify, long before the 10 s deadline.
+  EXPECT_LT(now() - start, std::chrono::seconds{5});
+}
+
+TEST(Parker, RecycledToTheNextThreadAndFoundById) {
+  std::uint32_t first_id = 0;
+  std::thread([&] { first_id = Parker::current().id; }).join();
+  ASSERT_NE(first_id, 0u);
+  EXPECT_EQ(&Parker::from_id(first_id).events,
+            &Parker::from_id(first_id).events);
+  // The exited thread's parker is reused, not leaked: a new thread draws
+  // from the free list (LIFO), so it gets the same parker back.
+  std::uint32_t second_id = 0;
+  std::thread([&] { second_id = Parker::current().id; }).join();
+  EXPECT_EQ(second_id, first_id);
+  EXPECT_EQ(&Parker::current(), &Parker::current());
+}
+
 }  // namespace
 }  // namespace evmp::common

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -219,6 +220,151 @@ TEST_F(RuntimeTest, AwaitFromForeignThreadJustWaits) {
       },
       Async::kAwait);
   EXPECT_TRUE(ran.load());
+}
+
+/// Spin (bounded) until `pred` holds; false after `limit`.
+template <class Pred>
+bool eventually(Pred pred, common::Millis limit = common::Millis{5000}) {
+  const auto deadline = common::now() + limit;
+  while (!pred()) {
+    if (common::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds{100});
+  }
+  return true;
+}
+
+TEST_F(RuntimeTest, AwaitParksInsteadOfPolling) {
+  // Nothing else is queued on the EDT while it awaits a 30 ms block: it
+  // climbs the spin ladder once, parks, and the block's completion wakes
+  // it. The nap loop this replaced woke ~150 times here.
+  common::CountdownLatch finished(1);
+  rt_.reset_stats();
+  edt_.post([&] {
+    rt_.invoke_target_block(
+        "worker", [] { common::precise_sleep(common::Millis{30}); },
+        Async::kAwait);
+    finished.count_down();
+  });
+  ASSERT_TRUE(finished.wait_for(std::chrono::seconds{10}));
+  const RuntimeStats stats = rt_.stats();
+  EXPECT_EQ(stats.awaits, 1u);
+  EXPECT_GE(stats.await_parks, 1u);
+  EXPECT_LE(stats.await_parks, 3u);
+}
+
+TEST_F(RuntimeTest, PostToParkedEdtRunsBeforeTheBlockEnds) {
+  // The EDT parks in `await` with an empty queue; an event a foreign
+  // thread posts afterwards must wake it and run inside the barrier. The
+  // block stays open until that event ran (bounded), so a lost wakeup
+  // shows as the event running only after the block.
+  std::atomic<bool> posted_ran{false};
+  std::atomic<bool> ran_inside_await{false};
+  common::CountdownLatch finished(1);
+  edt_.post([&] {
+    rt_.invoke_target_block(
+        "worker",
+        [&] { eventually([&] { return posted_ran.load(); }); },
+        Async::kAwait);
+    ran_inside_await.store(posted_ran.load());
+    finished.count_down();
+  });
+  ASSERT_TRUE(eventually([&] { return edt_.parked_members() == 1; }));
+  edt_.post([&] { posted_ran.store(true); });
+  ASSERT_TRUE(finished.wait_for(std::chrono::seconds{10}));
+  EXPECT_TRUE(ran_inside_await.load());
+}
+
+TEST_F(RuntimeTest, DelayedEventFiresDuringAwait) {
+  // A parked EDT sets its wake-up deadline to its next timer: a 5 ms
+  // post_delayed event fires inside the await. The block stays open until
+  // it fired (bounded), so a park that ignored the timer shows as the
+  // event firing only after the block.
+  std::atomic<std::int64_t> fired_ns{0};
+  std::atomic<std::int64_t> block_end_ns{0};
+  common::CountdownLatch finished(1);
+  edt_.post([&] {
+    const auto start = common::now();
+    edt_.post_delayed(
+        [&, start] { fired_ns.store(common::elapsed_ns(start, common::now())); },
+        common::Millis{5});
+    rt_.invoke_target_block(
+        "worker",
+        [&, start] {
+          eventually([&] { return fired_ns.load() != 0; });
+          block_end_ns.store(common::elapsed_ns(start, common::now()));
+        },
+        Async::kAwait);
+    finished.count_down();
+  });
+  ASSERT_TRUE(finished.wait_for(std::chrono::seconds{10}));
+  EXPECT_GE(fired_ns.load(), 5'000'000);
+  EXPECT_LT(fired_ns.load(), block_end_ns.load());
+}
+
+/// A lone member of `pool` awaits a remote block that stays open until a
+/// task posted to `pool` *after* the member parked has run (bounded):
+/// only a post that wakes the parked member can run it in time.
+void expect_parked_member_runs_later_post(Runtime& rt, exec::Executor& pool,
+                                          std::string_view target) {
+  std::atomic<bool> later_ran{false};
+  std::atomic<bool> ran_inside_await{false};
+  common::CountdownLatch done(1);
+  rt.invoke_target_block(
+      target,
+      [&] {
+        rt.invoke_target_block(
+            "worker",
+            [&] { eventually([&] { return later_ran.load(); }); },
+            Async::kAwait);
+        ran_inside_await.store(later_ran.load());
+        done.count_down();
+      },
+      Async::kNowait);
+  ASSERT_TRUE(eventually([&] { return pool.parked_members() == 1; }));
+  pool.post([&] { later_ran.store(true); });
+  ASSERT_TRUE(done.wait_for(std::chrono::seconds{10}));
+  EXPECT_TRUE(ran_inside_await.load()) << target;
+}
+
+TEST_F(RuntimeTest, ParkedPoolMembersRunTasksPostedAfterTheyParked) {
+  expect_parked_member_runs_later_post(rt_, rt_.create_worker("lone", 1),
+                                       "lone");
+  expect_parked_member_runs_later_post(
+      rt_, rt_.create_stealing_worker("lone-ws", 1), "lone-ws");
+}
+
+TEST_F(RuntimeTest, AwaitDepthIsCappedAndEveryEventCompletes) {
+  // Event k's block posts event k+1 and, below the cap, stays open until
+  // that event started, so event k+1 runs inside event k's await: event k
+  // runs at barrier depth k. Event kCap's await is at the cap, so it parks
+  // on its completion alone; the chain unwinds and the remaining events
+  // run from the top level.
+  constexpr int kCap = Runtime::kMaxAwaitDepth;
+  constexpr int kEvents = kCap + 16;
+  std::vector<std::atomic<bool>> started(kEvents);
+  std::atomic<int> deepest{0};
+  common::CountdownLatch all_done(kEvents);
+  rt_.reset_stats();
+  std::function<void(int)> handler = [&](int k) {
+    started[k].store(true);
+    const int depth = Runtime::await_depth();
+    int seen = deepest.load();
+    while (depth > seen && !deepest.compare_exchange_weak(seen, depth)) {
+    }
+    rt_.invoke_target_block(
+        "worker",
+        [&, k] {
+          if (k + 1 < kEvents) edt_.post([&, k] { handler(k + 1); });
+          if (k < kCap) eventually([&] { return started[k + 1].load(); });
+        },
+        Async::kAwait);
+    all_done.count_down();
+  };
+  edt_.post([&] { handler(0); });
+  ASSERT_TRUE(all_done.wait_for(std::chrono::seconds{60}));
+  EXPECT_EQ(deepest.load(), kCap);
+  EXPECT_LE(edt_.max_nesting(), kCap + 1);
+  EXPECT_GE(rt_.stats().await_depth_capped, 1u);
 }
 
 TEST_F(RuntimeTest, DisabledRuntimeRunsBlocksInline) {

@@ -1,7 +1,8 @@
 // Tests for the zero-allocation dispatch fast path: pooled completion
 // states (recycling, reuse after exception, no recycle under a live
-// waiter), the lock-free tag groups under producer stress, the RingBuffer
-// run-queue storage, and the non-template wait_for hot path.
+// waiter, late notifies to recycled parkers), the lock-free tag groups
+// under producer and teardown stress, the RingBuffer run-queue storage,
+// and wait_for's duration shim.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/object_pool.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/sync.hpp"
@@ -114,6 +116,25 @@ TEST(CompletionState, AtomicWaitWakesCrossThread) {
   EXPECT_TRUE(s.done());
 }
 
+TEST(CompletionPool, SetterNotifiesAfterWaiterThreadExited) {
+  // A short-lived thread parks on a state (publishing its parker there),
+  // times out and exits; its parker goes back to the free list and the
+  // next thread reuses it. The late set_done() then notifies a parker
+  // that now serves another wait: a spurious wakeup, nothing worse.
+  constexpr int kRounds = 500;
+  for (int i = 0; i < kRounds; ++i) {
+    CompletionRef late = CompletionState::make();
+    std::thread([late] {
+      EXPECT_FALSE(late->wait_for(std::chrono::microseconds{300}));
+    }).join();
+    CompletionRef other = CompletionState::make();
+    std::thread next([other] { other->wait(); });
+    late->set_done();
+    other->set_done();
+    next.join();
+  }
+}
+
 // --- tag groups under stress --------------------------------------------
 
 TEST(TagGroupStress, SixteenProducersOneTag) {
@@ -158,6 +179,33 @@ TEST(TagGroupStress, ExceptionSurfacesThroughWaitTag) {
   // The error is consumed: the next wait on the (now idle) tag succeeds.
   rt.wait_tag("failing-tag");
   rt.clear();
+}
+
+TEST(TagGroupStress, RuntimeDestroyedRightAfterForeignWaitTag) {
+  // The last leave() may still be running when wait_tag returns, and the
+  // waiter destroys the runtime — tag registry included — at once. The
+  // pool outlives every runtime, so nothing joins the leaver first: only
+  // leave()'s "the decrement is the last access" rule keeps this clean
+  // under ASan. Every 100th round holds a block for 1 ms so the waiter
+  // parks and the leaver's notify path runs too.
+  constexpr int kRounds = 10000;
+  exec::ThreadPoolExecutor pool("external", 2);
+  for (int i = 0; i < kRounds; ++i) {
+    auto runtime = std::make_unique<Runtime>();
+    runtime->register_executor("worker", pool);
+    for (int b = 0; b < 2; ++b) {
+      runtime->invoke_target_block(
+          "worker",
+          [i, b] {
+            if (i % 100 == 0 && b == 1) {
+              common::precise_sleep(common::Millis{1});
+            }
+          },
+          Async::kNameAs, "t");
+    }
+    runtime->wait_tag("t");
+    runtime.reset();
+  }
 }
 
 TEST(TagRegistry, ShardedRegistryCountsCreations) {

@@ -34,8 +34,10 @@ class Table1Test : public ::testing::Test {
   ModeObservation observe(Async mode) {
     ModeObservation obs;
     common::CountdownLatch done(1);
+    // Outlives the handler: modes that pump nothing run the background
+    // events after the handler returned (wait_until_idle below joins them).
+    std::atomic<std::uint64_t> pumped{0};
     edt_.post([&] {
-      std::atomic<std::uint64_t> pumped{0};
       for (int i = 0; i < 5; ++i) {
         edt_.post([&pumped] { pumped.fetch_add(1); });
       }

@@ -147,28 +147,9 @@ namespace {
 
 using evmp::common::CliArgs;
 using evmp::common::LatencyQuantiles;
+using evmp::common::read_budget;
 using evmp::net::LoadClient;
 using evmp::net::RoundResult;
-
-double read_budget(const std::string& path, const char* key,
-                   double fallback) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "loadgen: cannot open %s; using budget %.3f\n",
-                 path.c_str(), fallback);
-    return fallback;
-  }
-  std::string text(1 << 16, '\0');
-  const std::size_t got = std::fread(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  text.resize(got);
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return fallback;
-  const std::size_t colon = text.find(':', at);
-  if (colon == std::string::npos) return fallback;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
 
 void print_round(const RoundResult& r) {
   const LatencyQuantiles q = r.latency.quantiles();
