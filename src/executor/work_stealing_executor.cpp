@@ -32,7 +32,9 @@ WorkStealingExecutor::WorkStealingExecutor(std::string pool_name,
                                            std::size_t num_threads,
                                            const common::Topology& topo,
                                            bool pin)
-    : Executor(std::move(pool_name)), pin_workers_(pin) {
+    : Executor(std::move(pool_name)),
+      max_searching_(std::max<std::size_t>(1, num_threads / 2)),
+      pin_workers_(pin) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   const int n = static_cast<int>(num_threads);
@@ -76,14 +78,15 @@ void WorkStealingExecutor::post(Task task) {
   if (self >= 0) {
     // Own deque, LIFO end: no lock, no RMW — slot store + release fence.
     workers_[static_cast<std::size_t>(self)]->deque.push_bottom(node);
-    // The deque is lock-free, so order the push before the parked-member
-    // check explicitly (the injection queue's shard lock does it there).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
   } else {
     // Foreign threads may not touch a Chase–Lev bottom; inject instead.
     injection_.push(node);
   }
-  idle_.notify_one();
+  // Dekker with search()'s exit: the node is visible before we read the
+  // searcher count, and a searcher decrements before its last re-probe.
+  // So either we see zero and notify, or that searcher sees the node.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (searching_.load(std::memory_order_relaxed) == 0) idle_.notify_one();
   wake_parked_members();
 }
 
@@ -127,13 +130,14 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   wake_parked_members();
 }
 
-bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
+WorkStealingExecutor::Took WorkStealingExecutor::take_node(int self,
+                                                           TaskNode*& out) {
   // 1. Own deque, newest first (locality: the task most likely to have its
   //    captures still in this core's cache).
   if (self >= 0) {
     if (workers_[static_cast<std::size_t>(self)]->deque.pop_bottom(out)) {
       local_pops_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      return Took::kOwnDeque;
     }
   }
   // 2. Foreign submissions from the injection queue (non-blocking).
@@ -142,7 +146,7 @@ bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
   if (auto injected = injection_.try_pop(home)) {
     out = *injected;
     injection_pops_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return Took::kElsewhere;
   }
   // 3. Steal oldest-first, near victims before far ones. A lost CAS
   //    (kAbort) means the victim demonstrably has traffic — retry it
@@ -164,12 +168,12 @@ bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
           if (k < me.near_victims) {
             near_steals_.fetch_add(1, std::memory_order_relaxed);
           }
-          return true;
+          return Took::kElsewhere;
         }
         if (result == Steal::kEmpty) break;
       }
     }
-    return false;
+    return Took::kNothing;
   }
   // Foreign thief (try_run_one from outside, shutdown drain): no locality
   // to exploit — rotate uniformly so repeated helpers spread out.
@@ -182,12 +186,38 @@ bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
       const Steal result = victim.steal_top(out);
       if (result == Steal::kSuccess) {
         steals_.fetch_add(1, std::memory_order_relaxed);
-        return true;
+        return Took::kElsewhere;
       }
       if (result == Steal::kEmpty) break;
     }
   }
-  return false;
+  return Took::kNothing;
+}
+
+WorkStealingExecutor::Took WorkStealingExecutor::search(int self,
+                                                        TaskNode*& out) {
+  // Join the searchers only below the cap: one spinner is enough to catch
+  // a trickle of posts, and every extra one fights the producer for the
+  // injection shard locks it probes.
+  std::size_t n = searching_.load(std::memory_order_relaxed);
+  do {
+    if (n >= max_searching_) return Took::kNothing;
+  } while (!searching_.compare_exchange_weak(n, n + 1,
+                                             std::memory_order_relaxed));
+  // Pause-spins, then yields (straight to parking on a single-core host),
+  // re-probing all sources each step.
+  Took took = Took::kNothing;
+  common::SpinWait spin;
+  while (spin.spin()) {
+    took = take_node(self, out);
+    if (took != Took::kNothing) break;
+    if (stopping_.load(std::memory_order_acquire)) break;
+  }
+  // Leave before the caller's park re-check or spread check, and fence so
+  // those probes are ordered after the decrement (pairs with post()).
+  searching_.fetch_sub(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return took;
 }
 
 void WorkStealingExecutor::run_node(TaskNode* node) {
@@ -198,7 +228,7 @@ void WorkStealingExecutor::run_node(TaskNode* node) {
 
 bool WorkStealingExecutor::try_run_one() {
   TaskNode* node = nullptr;
-  if (!take_node(current_worker_index(), node)) return false;
+  if (take_node(current_worker_index(), node) == Took::kNothing) return false;
   run_node(node);
   return true;
 }
@@ -224,7 +254,7 @@ void WorkStealingExecutor::shutdown() {
   // A post() racing shutdown may have slipped a node in after its worker's
   // final scan; drain stragglers on this thread so nothing is stranded.
   TaskNode* node = nullptr;
-  while (take_node(-1, node)) run_node(node);
+  while (take_node(-1, node) != Took::kNothing) run_node(node);
 
   auto& tracer = common::Tracer::instance();
   const std::string prefix(name());
@@ -267,45 +297,38 @@ void WorkStealingExecutor::worker_main(int index) {
   }
   TaskNode* node = nullptr;
   for (;;) {
-    if (take_node(index, node)) {
-      run_node(node);
-      continue;
+    Took took = take_node(index, node);
+    if (took == Took::kNothing) {
+      if (stopping_.load(std::memory_order_acquire)) break;  // scan drained
+      took = search(index, node);
     }
-    if (stopping_.load(std::memory_order_acquire)) break;  // scan above drained
-
-    // Out of work: climb the backoff ladder (pause-spins, then yields —
-    // both skipped straight to parking on a single-core host), re-probing
-    // all sources each step.
-    common::SpinWait spin;
-    bool found = false;
-    while (spin.spin()) {
-      if (take_node(index, node)) {
-        found = true;
-        break;
+    if (took == Took::kNothing) {
+      // Park. prepare→re-check→commit against the EventCount: a post that
+      // lands after the re-check bumps the epoch (its notify RMW is
+      // ordered after our prepare RMW on the same word), so commit_wait
+      // returns immediately — no lost wakeup. A post that skipped its
+      // notify because a searcher was live is caught by that searcher's
+      // exit. Shutdown's notify_all is caught the same way.
+      const auto key = idle_.prepare_wait();
+      if (stopping_.load(std::memory_order_acquire)) {
+        idle_.cancel_wait();
+        continue;  // loop top drains, then exits via the stopping check
       }
-      if (stopping_.load(std::memory_order_acquire)) break;
-    }
-    if (found) {
-      run_node(node);
-      continue;
-    }
-
-    // Park. prepare→re-check→commit against the EventCount: a post that
-    // lands after the re-check bumps the epoch (its notify RMW is ordered
-    // after our prepare RMW on the same word), so commit_wait returns
-    // immediately — no lost wakeup. Shutdown's notify_all is caught the
-    // same way.
-    const auto key = idle_.prepare_wait();
-    if (stopping_.load(std::memory_order_acquire)) {
+      took = take_node(index, node);
+      if (took == Took::kNothing) {
+        idle_.commit_wait(key);
+        continue;
+      }
       idle_.cancel_wait();
-      continue;  // loop top drains, then exits via the stopping check
     }
-    if (take_node(index, node)) {
-      idle_.cancel_wait();
-      run_node(node);
-      continue;
+    // Spread: the task came from the shared backlog or a peer, so more may
+    // be waiting there while peers sleep. Wake one; it does the same after
+    // its own take, so a burst fans out one wake at a time. (After local
+    // pops this costs a spawn tree more than it gains.)
+    if (took == Took::kElsewhere && idle_.has_waiters() && pending() != 0) {
+      idle_.notify_one();
     }
-    idle_.commit_wait(key);
+    run_node(node);
   }
   t_pool = nullptr;
   t_worker_index = -1;

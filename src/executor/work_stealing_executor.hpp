@@ -15,10 +15,15 @@
 //  * foreign post() cannot touch a Chase–Lev bottom (owner-only), so
 //    non-worker submissions land in a ShardedMpmcQueue injection queue
 //    that workers poll between their own deque and stealing;
-//  * idle workers spin-then-park on a common::EventCount — notify_one
-//    wakes exactly one worker the moment work arrives (no 1 ms polling, no
-//    thundering-herd rescan of every deque), and a producer that finds no
-//    waiters never reaches a syscall;
+//  * at most max(1, workers/2) idle workers search (climb the spin ladder
+//    re-probing every source) at once; the rest go straight to parking on
+//    a common::EventCount (Go's nmspinning, Tokio's num_searching).
+//    post() notifies only when no searcher is live, since a live one will
+//    find the task, and a worker that took a task from anywhere but its
+//    own deque wakes one parked peer while a backlog remains, so a burst
+//    spreads over the pool one wake at a time (no 1 ms polling, no
+//    thundering herd, and a producer that finds no waiters never reaches
+//    a syscall);
 //  * steal victims are probed near-before-far: each worker's victim order
 //    is built once from common::Topology (SMT sibling, then LLC peer, then
 //    same NUMA node, then remote; randomised within each tier), so a
@@ -140,11 +145,19 @@ class WorkStealingExecutor final : public Executor {
     int cpu = -1;  ///< topology CPU this worker pins to under EVMP_PIN
   };
 
+  /// Where take_node() found its node. kElsewhere (injection queue or a
+  /// steal) is what triggers the spread wake in worker_main().
+  enum class Took { kNothing, kOwnDeque, kElsewhere };
+
   /// Take a node: own deque first (LIFO), then the injection queue, then
   /// steal (FIFO) near-before-far along the worker's victim order,
   /// retrying a victim on a lost CAS race. `self` < 0 means a foreign
   /// caller (injection + rotating uniform steal only).
-  bool take_node(int self, TaskNode*& out);
+  Took take_node(int self, TaskNode*& out);
+  /// Climb the spin ladder re-probing every source, if fewer than
+  /// max_searching_ workers already do; kNothing when the cap is reached
+  /// or the ladder ran out. Leaves the searcher count before returning.
+  Took search(int self, TaskNode*& out);
   /// Unwrap, recycle the envelope, run. Recycling before running keeps the
   /// node hot for a task that immediately spawns more work.
   void run_node(TaskNode* node);
@@ -154,6 +167,9 @@ class WorkStealingExecutor final : public Executor {
   std::vector<std::unique_ptr<Worker>> workers_;
   common::ShardedMpmcQueue<TaskNode*> injection_;
   common::EventCount idle_;
+  // Workers currently in search(); post() skips its notify while nonzero.
+  std::atomic<std::size_t> searching_{0};
+  const std::size_t max_searching_;  ///< max(1, workers / 2)
   bool pin_workers_ = false;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shut_down_{false};

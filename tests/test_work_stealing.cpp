@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "core/runtime.hpp"
 #include "core/target.hpp"
@@ -13,6 +16,37 @@
 
 namespace evmp::exec {
 namespace {
+
+// One round of tasks that each hold their worker until `need` of them have
+// started: the round completes only if the pool puts that many workers on
+// the backlog at once. A task gives up after a deadline (and marks the
+// round stranded) rather than hang the suite.
+struct Rendezvous {
+  explicit Rendezvous(int n)
+      : need(n), finished(static_cast<std::size_t>(n)) {}
+
+  void arrive() {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds{5};
+    while (started.load() < need) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        stranded.store(true);
+        break;
+      }
+      std::this_thread::yield();
+    }
+    finished.count_down();
+  }
+
+  const int need;
+  std::atomic<int> started{0};
+  std::atomic<bool> stranded{false};
+  common::CountdownLatch finished;
+};
+
+constexpr int kRendezvousWorkers = 4;
+constexpr int kRendezvousRounds = 50;
 
 TEST(WorkStealing, PostBatchRunsAllTasks) {
   WorkStealingExecutor pool("ws", 3);
@@ -201,6 +235,53 @@ TEST(WorkStealing, WorkerSelfPostsUseOwnDeque) {
   EXPECT_EQ(pool.tasks_executed(), 9u);
   EXPECT_EQ(pool.injection_pops(), 1u);  // only the foreign seeding post
   EXPECT_EQ(pool.local_pops() + pool.steals(), 8u);
+}
+
+TEST(WorkStealing, ForeignBacklogReachesEveryWorker) {
+  // Foreign posts while a searcher is live skip their notify; the searcher
+  // (and each worker after it) must wake a peer for what it left behind.
+  WorkStealingExecutor pool("ws", kRendezvousWorkers);
+  for (int round = 0; round < kRendezvousRounds; ++round) {
+    auto r = std::make_shared<Rendezvous>(kRendezvousWorkers);
+    for (int i = 0; i < kRendezvousWorkers; ++i) {
+      pool.post([r] { r->arrive(); });
+    }
+    ASSERT_TRUE(r->finished.wait_for(std::chrono::seconds{10}))
+        << "round " << round;
+    ASSERT_FALSE(r->stranded.load()) << "round " << round;
+  }
+}
+
+TEST(WorkStealing, SelfPostedBacklogReachesEveryWorker) {
+  // The same with the backlog in one worker's own deque: thieves that
+  // steal from it must keep waking peers while it stays non-empty.
+  WorkStealingExecutor pool("ws", kRendezvousWorkers);
+  for (int round = 0; round < kRendezvousRounds; ++round) {
+    auto r = std::make_shared<Rendezvous>(kRendezvousWorkers);
+    pool.post([&pool, r] {
+      for (int i = 1; i < kRendezvousWorkers; ++i) {
+        pool.post([r] { r->arrive(); });
+      }
+      r->arrive();
+    });
+    ASSERT_TRUE(r->finished.wait_for(std::chrono::seconds{10}))
+        << "round " << round;
+    ASSERT_FALSE(r->stranded.load()) << "round " << round;
+  }
+}
+
+TEST(WorkStealing, PostNeverStrandedWhileSearcherGivesUp) {
+  // Single posts with seeded pauses between them land at every point of a
+  // searcher's ladder, including its exit to the park: a post that skips
+  // its notify because a searcher is live must still be run.
+  WorkStealingExecutor pool("ws", 3);
+  common::Xoshiro256 rng(0x5ea4c4);
+  for (int round = 0; round < 20000; ++round) {
+    auto done = std::make_shared<common::CountdownLatch>(1);
+    pool.post([done] { done->count_down(); });
+    ASSERT_TRUE(done->wait_for(std::chrono::seconds{2})) << "round " << round;
+    for (auto k = rng.next_below(64); k > 0; --k) std::this_thread::yield();
+  }
 }
 
 }  // namespace
