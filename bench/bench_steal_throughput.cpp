@@ -14,7 +14,8 @@
 // nonzero when the rate exceeds the budget file's
 // "allocs_per_steal_dispatch" — the CI perf-smoke gate for the
 // zero-allocation steady-state claim (TaskNode recycling via ObjectPool,
-// retained Chase–Lev buffers, ring-buffer injection shards).
+// retained Chase–Lev buffers, an injection list linked through the same
+// recycled TaskNodes).
 
 #include <atomic>
 #include <cstdint>
@@ -222,10 +223,11 @@ int run_adaptive_lease_alloc_check(const std::string& budget_path,
 }
 
 /// Measure steady-state allocations per executed task across the whole
-/// process. Paced in identical rounds so the ObjectPool population, the
-/// Chase–Lev buffers and the injection ring shards all reach their
-/// high-water marks during warmup; the measured phase then repeats the
-/// exact same pattern and should touch the heap zero times.
+/// process. Paced in identical rounds so the ObjectPool population and the
+/// Chase–Lev buffers reach their high-water marks during warmup (the
+/// injection list links the pooled TaskNodes and owns no storage); the
+/// measured phase then repeats the exact same pattern and should touch
+/// the heap zero times.
 int run_alloc_check(const std::string& budget_path, int threads) {
   const double budget =
       read_budget(budget_path, "allocs_per_steal_dispatch", 0.0);

@@ -1,6 +1,6 @@
 #pragma once
-// Sharded MPMC run queue: the run queue of ThreadPoolExecutor and the
-// injection queue of WorkStealingExecutor.
+// Sharded MPMC run queue: the run queue of ThreadPoolExecutor and the task
+// queue of net::Reactor.
 //
 // The FIFO is striped across N independently locked shards, so disjoint
 // producers take disjoint locks (with one shard it is a single-lock FIFO):
@@ -51,10 +51,6 @@
 
 #include "common/ring_buffer.hpp"
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 namespace evmp::common {
 
 /// Snapshot of a sharded queue's counters (values are monotone except
@@ -99,24 +95,9 @@ class ShardedMpmcQueue {
   }
 
   /// Stable home-shard index for the calling thread (also usable as the
-  /// `home` hint for pop()/try_pop()). With CPU-home mode on (EVMP_PIN
-  /// executors), the shard follows the CPU the caller runs on instead of
-  /// its thread identity, so shard locality tracks processor locality.
+  /// `home` hint for pop()/try_pop()).
   [[nodiscard]] std::size_t home_shard() const noexcept {
-    if (cpu_home_.load(std::memory_order_relaxed)) {
-#if defined(__linux__)
-      const int cpu = sched_getcpu();
-      if (cpu >= 0) return static_cast<std::size_t>(cpu) & mask_;
-#endif
-    }
     return thread_slot() & mask_;
-  }
-
-  /// Hash home shards by current CPU (Linux; falls back to thread slots
-  /// elsewhere or when sched_getcpu fails). Pair with pinned producers/
-  /// consumers so each CPU's traffic stays on its own shard.
-  void set_cpu_home(bool on) noexcept {
-    cpu_home_.store(on, std::memory_order_relaxed);
   }
 
   /// Soft bound on the queue's total depth, enforced by try_push /
@@ -440,7 +421,6 @@ class ShardedMpmcQueue {
   std::atomic<std::uint64_t> gen_{0};
   std::atomic<std::size_t> sleepers_{0};
   std::atomic<bool> closed_{false};
-  std::atomic<bool> cpu_home_{false};
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> capacity_{0};
 

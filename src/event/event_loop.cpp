@@ -130,7 +130,8 @@ void EventLoop::dispatch(QueuedEvent ev) {
     busy_ns_.fetch_add(common::elapsed_ns(begin, common::now()),
                        std::memory_order_relaxed);
   }
-  dispatched_.fetch_add(1, std::memory_order_relaxed);
+  // Release: busy_ns_ above is visible to whoever reads this count.
+  dispatched_.fetch_add(1, std::memory_order_release);
 }
 
 bool EventLoop::pump_one() {

@@ -105,9 +105,11 @@ class EventLoop final : public exec::Executor {
   void wait_until_idle();
 
   // --- instrumentation ---------------------------------------------------
-  /// Events fully dispatched so far.
+  /// Events fully dispatched so far. Acquire: pairs with the release bump
+  /// in dispatch(), so a reader that sees an event counted also sees its
+  /// busy_time() share.
   [[nodiscard]] std::uint64_t dispatched() const noexcept {
-    return dispatched_.load(std::memory_order_relaxed);
+    return dispatched_.load(std::memory_order_acquire);
   }
   /// Total time the EDT has spent inside top-level handlers.
   [[nodiscard]] common::Nanos busy_time() const noexcept {

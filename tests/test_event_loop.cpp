@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -220,6 +221,15 @@ TEST(EventLoop, ResetStatsClears) {
   EventLoop loop;
   loop.start();
   loop.invoke_and_wait([] {});
+  // invoke_and_wait returns once the handler ran, which can be before
+  // dispatch() counts it; reset only after the count (and busy time) land.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  while (loop.dispatched() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(loop.dispatched(), 1u);
   loop.reset_stats();
   EXPECT_EQ(loop.dispatched(), 0u);
   EXPECT_EQ(loop.dispatch_delay().total_count(), 0u);
