@@ -190,8 +190,8 @@ class Runtime {
   /// the calling thread processes other queued handlers of its own
   /// executor until `handle` is done, then rethrows the handle's
   /// exception if any. This is the integration point for asynchronous
-  /// operations that occupy no thread while pending (e.g. the async-I/O
-  /// extension the paper lists as future work).
+  /// operations that occupy no thread while pending: see
+  /// examples/async_download.cpp (a socket read on a net::Reactor).
   void await_handle(const exec::TaskHandle& handle);
 
   /// The wait(name-tag) clause: suspend until all name_as blocks tagged

@@ -1,6 +1,6 @@
 // Unit tests for the executor substrate: UniqueFunction, CompletionState /
-// TaskHandle, ThreadPoolExecutor (including the one-thread serial case),
-// InlineExecutor and the simulated accelerator device.
+// TaskHandle, ThreadPoolExecutor (including the one-thread serial case)
+// and the simulated accelerator device.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "common/sync.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-#include "executor/inline_executor.hpp"
 #include "executor/simulated_device.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "executor/unique_function.hpp"
@@ -391,16 +390,6 @@ TEST(ThreadPoolExecutor, OneThreadServesEverything) {
   ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
   EXPECT_EQ(ids.size(), 1u);
   EXPECT_EQ(ex.concurrency(), 1u);
-}
-
-TEST(InlineExecutor, RunsSynchronously) {
-  InlineExecutor ex;
-  bool ran = false;
-  ex.post([&] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(ex.owns_current_thread());
-  EXPECT_FALSE(ex.try_run_one());
-  EXPECT_EQ(ex.pending(), 0u);
 }
 
 TEST(SimulatedDevice, CountsTransfersAndLaunches) {

@@ -1,6 +1,7 @@
 // Tests for src/net: the HTTP/1.1 wire layer, the epoll reactor (posted
-// tasks, timers, shutdown), the loopback server (echo and handler
-// modes, EOF/partial-write/keep-alive paths, idle timeouts, graceful
+// tasks, timers, shutdown, a socket read joined with Runtime::await_handle
+// from the EDT and from a foreign thread), the loopback server (echo and
+// handler modes, EOF/partial-write/keep-alive paths, idle timeouts, graceful
 // stop) and the watermark admission machinery end to end, plus the
 // bounded injection queue and try_post at the unit level.
 
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -20,6 +22,8 @@
 #include "common/sharded_queue.hpp"
 #include "common/sync.hpp"
 #include "core/runtime.hpp"
+#include "event/event_loop.hpp"
+#include "executor/completion.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "net/http.hpp"
 #include "net/reactor.hpp"
@@ -334,6 +338,102 @@ TEST(Reactor, ZeroDelayRearmDoesNotStarveTasks) {
   done.store(true);
   reactor.stop();
   EXPECT_GT(fired.load(), 1);
+}
+
+// --- await_handle on a reactor-completed read ------------------------------
+
+/// A non-blocking AF_UNIX socketpair whose reading end is registered on
+/// `reactor`. The handler drains it on each edge and completes `state`
+/// once `want` bytes arrived: an asynchronous operation that occupies no
+/// thread while pending. send() writes to the other end.
+struct SocketRead final : Reactor::FdHandler {
+  SocketRead(Reactor& r, std::size_t w) : reactor(r), want(w) {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                           0, fds),
+              0);
+    rx.reset(fds[0]);
+    tx.reset(fds[1]);
+    EXPECT_TRUE(reactor.add_fd(rx.get(), true, false, this));
+  }
+  SocketRead(const SocketRead&) = delete;  // the reactor holds its address
+  SocketRead& operator=(const SocketRead&) = delete;
+
+  void on_readable() override {
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(rx.get(), buf, sizeof(buf))) > 0) {
+      data.append(buf, static_cast<std::size_t>(n));
+    }
+    if (n < 0 && errno == EAGAIN && data.size() < want) return;
+    reactor.del_fd(rx.get());
+    state->set_done();
+  }
+
+  void send(const std::string& bytes) const {
+    ::send(tx.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
+  }
+
+  Reactor& reactor;
+  std::size_t want;
+  Fd rx;
+  Fd tx;
+  std::string data;
+  exec::CompletionRef state = exec::CompletionState::make();
+};
+
+TEST(ReactorAwait, EdtAwaitPumpsEventsUntilSocketDataArrives) {
+  // An EDT handler awaits a read that the reactor completes. The data is
+  // written by the last of six events posted behind the handler, so the
+  // read can only finish if the barrier dispatches them while it waits.
+  Reactor reactor("t.await");
+  reactor.start();
+  event::EventLoop edt("edt");
+  edt.start();
+  Runtime rt;
+  rt.register_edt("edt", edt);
+  const std::string payload(2048, 'p');
+  SocketRead read(reactor, payload.size());
+
+  std::atomic<int> events{0};
+  std::atomic<int> events_at_join{-1};
+  std::atomic<bool> complete_at_join{false};
+  common::CountdownLatch done(1);
+  edt.post([&] {
+    rt.await_handle(exec::TaskHandle(read.state));
+    events_at_join.store(events.load());
+    complete_at_join.store(read.data == payload);
+    done.count_down();
+  });
+  for (int i = 0; i < 6; ++i) {
+    edt.post([&] {
+      if (events.fetch_add(1) + 1 == 6) read.send(payload);
+    });
+  }
+  if (!done.wait_for(std::chrono::seconds{5})) {
+    // The barrier blocked the EDT: unblock it so the test can fail cleanly.
+    read.send(payload);
+    ASSERT_TRUE(done.wait_for(std::chrono::seconds{10}));
+  }
+  EXPECT_EQ(events_at_join.load(), 6);  // pumped during the await
+  EXPECT_TRUE(complete_at_join.load());
+  EXPECT_GE(edt.max_nesting(), 2);
+  edt.wait_until_idle();
+  reactor.stop();
+}
+
+TEST(ReactorAwait, ForeignThreadAwaitBlocksUntilReadCompletes) {
+  Reactor reactor("t.await2");
+  reactor.start();
+  Runtime rt;
+  const std::string payload(2048, 'q');
+  SocketRead read(reactor, payload.size());
+  reactor.add_timer(std::chrono::milliseconds{20},
+                    exec::Task([&] { read.send(payload); }));
+  rt.await_handle(exec::TaskHandle(read.state));
+  EXPECT_TRUE(read.state->done());
+  EXPECT_EQ(read.data, payload);
+  reactor.stop();
 }
 
 // --- server ---------------------------------------------------------------
