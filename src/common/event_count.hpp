@@ -14,8 +14,8 @@
 //   producer:  queue.push(x);                  // make condition true
 //              ec.notify_one();                // bump epoch, wake if waiters
 //
-// Correctness: prepare_wait() and notify_*() are both acq_rel RMWs on the
-// same word, so they are totally ordered. If the producer's push lands
+// Correctness: prepare_wait() and notify_*() are both RMWs on the same
+// word, so they are totally ordered. If the producer's push lands
 // after the consumer's re-check, the producer's epoch bump is ordered
 // after prepare_wait() and commit_wait() observes the changed epoch and
 // returns immediately; if the push landed before the re-check, the
@@ -58,10 +58,12 @@ class EventCount {
 
   /// Announce intent to sleep. MUST be followed by exactly one of
   /// commit_wait(key) or cancel_wait(); re-check the wait condition in
-  /// between.
+  /// between. The RMW is seq_cst, so a caller that follows it with a
+  /// seq_cst fence before its re-check pairs with a producer's
+  /// fence-then-has_waiters() (store buffering, DESIGN.md §9.2).
   [[nodiscard]] WaitKey prepare_wait() noexcept {
     const std::uint64_t prev =
-        word_.fetch_add(kWaiterInc, std::memory_order_acq_rel);
+        word_.fetch_add(kWaiterInc, std::memory_order_seq_cst);
     return WaitKey(static_cast<std::uint32_t>(prev >> kEpochShift));
   }
 
@@ -92,11 +94,14 @@ class EventCount {
   }
 
   /// Wake one waiter (if any). Always bumps the epoch so a concurrent
-  /// prepare/commit pair cannot miss this notification.
-  void notify_one() noexcept {
+  /// prepare/commit pair cannot miss this notification. Returns whether
+  /// the bump counted a waiter (and so issued the futex wake).
+  bool notify_one() noexcept {
     const std::uint64_t prev =
         word_.fetch_add(kEpochInc, std::memory_order_acq_rel);
-    if ((prev & kWaiterMask) != 0) futex_wake(1);
+    if ((prev & kWaiterMask) == 0) return false;
+    futex_wake(1);
+    return true;
   }
 
   /// Wake all waiters (shutdown, barrier release, a shared parker).

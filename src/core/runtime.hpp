@@ -21,7 +21,12 @@
 // executor + flag + user capture) fits exec::Task's inline buffer, the
 // completion state comes from a thread-cached pool, and the per-mode
 // counters are relaxed atomics. Steady-state, a nowait dispatch performs no
-// heap allocation and takes no lock other than the target's queue shard.
+// heap allocation. It takes resolve()'s registry mutex (mu_) for the target
+// lookup; a name_as dispatch also locks one TagRegistry shard to find its
+// group; the post then takes whatever its executor takes (the loop mutex
+// for EventLoop, a queue shard lock for ThreadPoolExecutor and net::Reactor,
+// none for WorkStealingExecutor, whose foreign posts go to a lock-free
+// injection list).
 
 #include <atomic>
 #include <cstdint>

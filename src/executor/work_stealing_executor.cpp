@@ -74,11 +74,12 @@ void WorkStealingExecutor::post(Task task) {
     inj_size_.fetch_add(1, std::memory_order_relaxed);
     link_injected(node, node);
   }
-  // Dekker with search()'s exit: the node is visible before we read the
-  // searcher count, and a searcher decrements before its last re-probe.
-  // So either we see zero and notify, or that searcher sees the node.
+  // The node is visible before wake_one() reads the searcher count, the
+  // wake mark and the waiter count; each has a party that fences after
+  // writing it and then re-probes (DESIGN.md §9.2), so either we notify or
+  // that party sees the node.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (searching_.load(std::memory_order_relaxed) == 0) idle_.notify_one();
+  wake_one();
   wake_parked_members();
 }
 
@@ -179,9 +180,9 @@ void WorkStealingExecutor::release_injected(bool took) noexcept {
   // have parked on that answer, and that producer may have skipped its
   // notify for a searcher that was turned away too: wake one waiter to
   // re-probe.
-  if (!took && inj_size_.load(std::memory_order_relaxed) != 0 &&
-      idle_.has_waiters()) {
-    idle_.notify_one();
+  if (!took && inj_size_.load(std::memory_order_relaxed) != 0) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    wake_one();
   }
 }
 
@@ -279,9 +280,46 @@ void WorkStealingExecutor::run_node(TaskNode* node) {
 }
 
 void WorkStealingExecutor::spread(Took took) noexcept {
-  if (took == Took::kElsewhere && idle_.has_waiters() && pending() != 0) {
-    idle_.notify_one();
+  if (took == Took::kElsewhere) wake_one();
+}
+
+void WorkStealingExecutor::wake_one() noexcept {
+  // A live searcher will find the work; a set mark means a woken worker
+  // has yet to leave the waiter set, and it re-probes (and spreads) once
+  // it does. Otherwise a futex wake is worth its syscall while someone
+  // is parked and work is queued.
+  while (searching_.load(std::memory_order_relaxed) == 0 &&
+         !wake_pending_.load(std::memory_order_relaxed) &&
+         idle_.has_waiters() && pending() != 0) {
+    if (notify_marked()) return;
   }
+}
+
+bool WorkStealingExecutor::notify_marked() noexcept {
+  // Lost the race for the mark: that waker's wake covers this one.
+  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return true;
+  if (idle_.notify_one()) {
+    wakes_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  // The waiter seen by the caller left before the notify, so no exit will
+  // clear this mark: drop it. A site may have skipped its wake on the mark
+  // meanwhile, for a worker that parked after the notify; the fence makes
+  // the caller's next look see that waiter and the work it skipped for.
+  wake_pending_.store(false, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return false;
+}
+
+void WorkStealingExecutor::cancel_idle() noexcept {
+  idle_.cancel_wait();
+  left_idle();
+}
+
+void WorkStealingExecutor::left_idle() noexcept {
+  idle_exits_.fetch_add(1, std::memory_order_relaxed);
+  wake_pending_.store(false, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 bool WorkStealingExecutor::try_run_one() {
@@ -342,6 +380,7 @@ void WorkStealingExecutor::shutdown() {
   }
   tracer.set_counter(prefix + ".injection_pops",
                      injection_pops_.load(std::memory_order_relaxed));
+  tracer.set_counter(prefix + ".wakes", wakes());
   tracer.set_counter(prefix + ".batch_posts",
                      batch_posts_.load(std::memory_order_relaxed));
 }
@@ -374,23 +413,26 @@ void WorkStealingExecutor::worker_main(int index) {
       took = search(index, node);
     }
     if (took == Took::kNothing) {
-      // Park. prepare→re-check→commit against the EventCount: a post that
-      // lands after the re-check bumps the epoch (its notify RMW is
-      // ordered after our prepare RMW on the same word), so commit_wait
-      // returns immediately — no lost wakeup. A post that skipped its
-      // notify because a searcher was live is caught by that searcher's
-      // exit. Shutdown's notify_all is caught the same way.
+      // Park. prepare→fence→re-check→commit against the EventCount: a
+      // post whose node the re-check misses fenced before reading the
+      // waiter count, so it sees this waiter (the store-buffering pair)
+      // and either notifies — moving the epoch, so commit_wait returns at
+      // once — or skips for a live searcher or a wake in flight, whose
+      // worker re-probes after its own fence. Shutdown's notify_all is
+      // caught the same way.
       const auto key = idle_.prepare_wait();
+      std::atomic_thread_fence(std::memory_order_seq_cst);
       if (stopping_.load(std::memory_order_acquire)) {
-        idle_.cancel_wait();
+        cancel_idle();
         continue;  // loop top drains, then exits via the stopping check
       }
       took = take_node(index, node);
       if (took == Took::kNothing) {
         idle_.commit_wait(key);
+        left_idle();
         continue;
       }
-      idle_.cancel_wait();
+      cancel_idle();
     }
     // (After local pops a spread costs a spawn tree more than it gains.)
     spread(took);

@@ -24,13 +24,18 @@
 //    A probe that finds the counter at zero writes nothing;
 //  * at most max(1, workers/2) idle workers search (climb the spin ladder
 //    re-probing every source) at once; the rest go straight to parking on
-//    a common::EventCount (Go's nmspinning, Tokio's num_searching).
-//    post() notifies only when no searcher is live, since a live one will
-//    find the task, and a worker that took a task from anywhere but its
-//    own deque wakes one parked peer while a backlog remains, so a burst
-//    spreads over the pool one wake at a time (no 1 ms polling, no
-//    thundering herd, and a producer that finds no waiters never reaches
-//    a syscall);
+//    a common::EventCount (Go's nmspinning, Tokio's num_searching);
+//  * at most one wake is in flight. post(), spread() and
+//    release_injected() all wake through wake_one(), which notifies only
+//    when no searcher is live, a worker is parked and no earlier wake is
+//    still on its way (Go's wakep, Tokio's notify_should_wakeup). The
+//    waker marks the wake pending; the first worker to leave the event
+//    count's waiter set clears the mark, then re-probes and, having taken
+//    a task from anywhere but its own deque, wakes the next peer while a
+//    backlog remains. A burst spreads over the pool one wake at a time:
+//    no 1 ms polling, no thundering herd, no futex wake aimed at a worker
+//    already woken, and a producer that finds no waiters never reaches a
+//    syscall;
 //  * steal victims are probed near-before-far: each worker's victim order
 //    is built once from common::Topology (SMT sibling, then LLC peer, then
 //    same NUMA node, then remote; randomised within each tier), so a
@@ -106,6 +111,12 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::uint64_t far_steals() const noexcept {
     return steals() - near_steals();
   }
+  /// Notifies that reached a counted waiter of the parking event count
+  /// (futex wakes issued for single tasks; post_batch and shutdown wake
+  /// all waiters and are not counted).
+  [[nodiscard]] std::uint64_t wakes() const noexcept {
+    return wakes_.load(std::memory_order_relaxed);
+  }
   /// Tasks taken from the foreign-submission injection list.
   [[nodiscard]] std::uint64_t injection_pops() const noexcept {
     return injection_pops_.load(std::memory_order_relaxed);
@@ -180,6 +191,20 @@ class WorkStealingExecutor final : public Executor {
   /// may be waiting there while peers sleep: wake one. It does the same
   /// after its own take, so a burst fans out one wake at a time.
   void spread(Took took) noexcept;
+  /// The one wake path of post(), spread() and release_injected(): notify
+  /// a parked worker unless a searcher is live, a wake is already in
+  /// flight, nobody waits, or nothing is queued. The caller has fenced
+  /// after publishing its work.
+  void wake_one() noexcept;
+  /// Mark a wake pending and notify. False when the notify counted no
+  /// waiter: the mark is dropped again and the caller must look again.
+  bool notify_marked() noexcept;
+  /// Leave the event count's waiter set without sleeping, then left_idle().
+  void cancel_idle() noexcept;
+  /// This worker left the event count's waiter set (commit or cancel):
+  /// clear the wake mark and fence, so the re-probe that follows sees any
+  /// work whose wake the mark held back.
+  void left_idle() noexcept;
   /// Unwrap, recycle the envelope, run. Recycling before running keeps the
   /// node hot for a task that immediately spawns more work.
   void run_node(TaskNode* node);
@@ -187,7 +212,8 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] int current_worker_index() const noexcept;
 
   // Tests hold the consumer flag across posts and parks to drive the
-  // turned-away-consumer interleaving.
+  // turned-away-consumer interleaving, and read the wake mark and the
+  // waiter-set exits.
   friend struct WorkStealingTestPeer;
 
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -201,8 +227,13 @@ class WorkStealingExecutor final : public Executor {
   TaskNode* inj_tail_;
   TaskNode inj_stub_;
   common::EventCount idle_;
-  // Workers currently in search(); post() skips its notify while nonzero.
+  // Workers currently in search(); wake_one() skips its notify while
+  // nonzero.
   std::atomic<std::size_t> searching_{0};
+  // A wake is in flight: set by wake_one() before its notify, cleared by
+  // the next worker to leave idle_'s waiter set (or by the waker when its
+  // notify counted nobody). wake_one() skips its notify while set.
+  std::atomic<bool> wake_pending_{false};
   const std::size_t max_searching_;  ///< max(1, workers / 2)
   bool pin_workers_ = false;
   std::atomic<bool> stopping_{false};
@@ -212,6 +243,8 @@ class WorkStealingExecutor final : public Executor {
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> near_steals_{0};
   std::atomic<std::uint64_t> injection_pops_{0};
+  std::atomic<std::uint64_t> wakes_{0};
+  std::atomic<std::uint64_t> idle_exits_{0};  ///< left_idle() calls
   std::atomic<std::uint64_t> batch_posts_{0};
   std::atomic<std::uint64_t> pinned_workers_{0};
   std::vector<std::jthread> threads_;  // last: start after queues exist

@@ -19,7 +19,9 @@
 namespace evmp::exec {
 
 // Holds and releases the injection consumer flag the way a consumer whose
-// pop misses does, so a test can run posts and parks while it is held.
+// pop misses does, so a test can run posts and parks while it is held;
+// reads the wake mark and the waiter-set exits, and lets the test thread
+// stand in for a worker entering and leaving the waiter set.
 struct WorkStealingTestPeer {
   static void hold_injection_flag(WorkStealingExecutor& pool) {
     while (pool.inj_busy_.exchange(true, std::memory_order_acq_rel)) {
@@ -29,6 +31,19 @@ struct WorkStealingTestPeer {
   static void release_after_miss(WorkStealingExecutor& pool) {
     pool.release_injected(false);
   }
+  static bool wake_pending(const WorkStealingExecutor& pool) {
+    return pool.wake_pending_.load(std::memory_order_acquire);
+  }
+  static std::uint64_t idle_exits(const WorkStealingExecutor& pool) {
+    return pool.idle_exits_.load(std::memory_order_acquire);
+  }
+  static bool notify_marked(WorkStealingExecutor& pool) {
+    return pool.notify_marked();
+  }
+  static void enter_idle(WorkStealingExecutor& pool) {
+    (void)pool.idle_.prepare_wait();
+  }
+  static void cancel_idle(WorkStealingExecutor& pool) { pool.cancel_idle(); }
 };
 
 namespace {
@@ -360,6 +375,119 @@ TEST(WorkStealing, ConsumerTurnedAwayByHeldFlagIsWoken) {
     ASSERT_FALSE(done->wait_for(std::chrono::milliseconds{20}));
     WorkStealingTestPeer::release_after_miss(pool);
     ASSERT_TRUE(done->wait_for(std::chrono::seconds{2})) << "round " << round;
+  }
+}
+
+TEST(WorkStealing, AtMostOneWakeInFlight) {
+  // Foreign 64-post bursts: each notify that reaches a counted waiter sets
+  // the wake mark, and only a worker leaving the waiter set (or a notify
+  // that reached nobody) clears it. So the wakes issued never exceed the
+  // waiter-set exits by more than the one wake still in flight. Without
+  // the mark every post re-wakes the already-woken, still-counted worker.
+  // A pause before each burst lets the workers park, so each burst starts
+  // from parked workers.
+  constexpr int kBursts = 500;
+  constexpr int kPerBurst = 64;
+  WorkStealingExecutor pool("ws", 3);
+  for (int burst = 0; burst < kBursts; ++burst) {
+    std::this_thread::sleep_for(std::chrono::microseconds{200});
+    auto done = std::make_shared<common::CountdownLatch>(kPerBurst);
+    for (int i = 0; i < kPerBurst; ++i) {
+      pool.post([done] { done->count_down(); });
+    }
+    ASSERT_TRUE(done->wait_for(std::chrono::seconds{10})) << "burst " << burst;
+    const std::uint64_t wakes = pool.wakes();
+    ASSERT_LE(wakes, WorkStealingTestPeer::idle_exits(pool) + 1)
+        << "burst " << burst;
+  }
+  RecordProperty("wakes", static_cast<int>(pool.wakes()));
+  RecordProperty("idle_exits",
+                 static_cast<int>(WorkStealingTestPeer::idle_exits(pool)));
+  pool.shutdown();
+  EXPECT_EQ(pool.tasks_executed(),
+            static_cast<std::uint64_t>(kBursts) * kPerBurst);
+}
+
+TEST(WorkStealing, WakeMarkClearedWhenNoWaiterIsReached) {
+  // With both workers held in tasks nobody waits: the notify reaches no
+  // waiter, so no worker will ever clear the mark and the waker must.
+  // Then the test itself stands in for a worker: a notify counts it and
+  // leaves the mark set, and its cancel clears it.
+  WorkStealingExecutor pool("ws", 2);
+  common::ManualResetEvent release;
+  common::CountdownLatch started(2);
+  for (int i = 0; i < 2; ++i) {
+    pool.post([&] {
+      started.count_down();
+      release.wait();
+    });
+  }
+  ASSERT_TRUE(started.wait_for(std::chrono::seconds{5}));
+  const std::uint64_t wakes = pool.wakes();
+  EXPECT_FALSE(WorkStealingTestPeer::notify_marked(pool));
+  EXPECT_FALSE(WorkStealingTestPeer::wake_pending(pool));
+  EXPECT_EQ(pool.wakes(), wakes);
+
+  WorkStealingTestPeer::enter_idle(pool);
+  EXPECT_TRUE(WorkStealingTestPeer::notify_marked(pool));
+  EXPECT_TRUE(WorkStealingTestPeer::wake_pending(pool));
+  EXPECT_EQ(pool.wakes(), wakes + 1);
+  WorkStealingTestPeer::cancel_idle(pool);
+  EXPECT_FALSE(WorkStealingTestPeer::wake_pending(pool));
+  release.set();
+}
+
+TEST(WorkStealing, WakeHeldBackByMarkIsSpread) {
+  // Both workers parked: the blocker's post wakes one and sets the mark,
+  // so the quick task's post skips its notify. The woken worker takes the
+  // blocker (FIFO) and its spread must wake the other for the quick task,
+  // which then runs long before the blocker's 50 ms are up. Without the
+  // spread it never does; a loaded host may delay an odd round.
+  constexpr int kRounds = 20;
+  WorkStealingExecutor pool("ws", 2);
+  int quick_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+    auto blocker = std::make_shared<common::CountdownLatch>(1);
+    auto quick = std::make_shared<common::CountdownLatch>(1);
+    pool.post([blocker] {
+      std::this_thread::sleep_for(std::chrono::milliseconds{50});
+      blocker->count_down();
+    });
+    pool.post([quick] { quick->count_down(); });
+    if (quick->wait_for(std::chrono::milliseconds{25})) ++quick_rounds;
+    ASSERT_TRUE(blocker->wait_for(std::chrono::seconds{5}))
+        << "round " << round;
+    ASSERT_TRUE(quick->wait_for(std::chrono::seconds{5})) << "round " << round;
+  }
+  RecordProperty("quick_rounds", quick_rounds);
+  EXPECT_GE(quick_rounds, kRounds - 3);
+}
+
+TEST(WorkStealing, PostThenWaitNeverStrandedByWakeMark) {
+  // One or two posts per round, then wait, with seeded pauses (sometimes
+  // long enough for every worker to park) so the posts land before, inside
+  // and after a woken worker's exit from the waiter set. A mark left set
+  // with every worker parked would strand the next post. One worker makes
+  // a post that lands in its park re-check likely: the notify counts only
+  // that worker, which cancels instead of sleeping.
+  for (const std::size_t workers : {1, 3}) {
+    WorkStealingExecutor pool("ws", workers);
+    common::Xoshiro256 rng(0x3a4e21 + workers);
+    for (int round = 0; round < 20000; ++round) {
+      const int posts = 1 + static_cast<int>(rng.next_below(2));
+      auto done = std::make_shared<common::CountdownLatch>(posts);
+      for (int i = 0; i < posts; ++i) {
+        pool.post([done] { done->count_down(); });
+      }
+      ASSERT_TRUE(done->wait_for(std::chrono::seconds{5}))
+          << workers << " workers, round " << round;
+      if (rng.next_below(8) == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds{50});
+      } else {
+        for (auto k = rng.next_below(64); k > 0; --k) std::this_thread::yield();
+      }
+    }
   }
 }
 
