@@ -300,9 +300,7 @@ int main(int argc, char** argv) {
                        std::to_string(depth),
                    "chase-lev", evmp::common::fmt(ms, 1),
                    evmp::common::fmt(static_cast<double>(tasks) / ms / 1e3, 2),
-                   std::to_string(lockfree.steals()) + " (" +
-                       std::to_string(lockfree.near_steals()) + " near, " +
-                       std::to_string(lockfree.far_steals()) + " far)",
+                   std::to_string(lockfree.steals()),
                    std::to_string(lockfree.local_pops())});
     lockfree.shutdown();
   }

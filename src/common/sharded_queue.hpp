@@ -100,14 +100,13 @@ class ShardedMpmcQueue {
     return thread_slot() & mask_;
   }
 
-  /// Soft bound on the queue's total depth, enforced by try_push /
-  /// try_push_batch only (0 = unbounded). Plain push()/push_batch() keep
-  /// their must-succeed contract regardless — completion-carrying
-  /// dispatches can never be refused, so a join can never deadlock on a
-  /// refused continuation. The bound is checked under one shard's lock
-  /// against the global size, so concurrent try_pushers into other shards
-  /// can overshoot by at most one item each — admission control, not a
-  /// hard invariant.
+  /// Soft bound on the queue's total depth, enforced by try_push only
+  /// (0 = unbounded). Plain push()/push_batch() keep their must-succeed
+  /// contract regardless — completion-carrying dispatches can never be
+  /// refused, so a join can never deadlock on a refused continuation. The
+  /// bound is checked under one shard's lock against the global size, so
+  /// concurrent try_pushers into other shards can overshoot by at most one
+  /// item each — admission control, not a hard invariant.
   void set_capacity(std::size_t capacity) noexcept {
     capacity_.store(capacity, std::memory_order_relaxed);
   }
@@ -124,99 +123,27 @@ class ShardedMpmcQueue {
   /// rejection) when the queue already holds capacity() items. This is the
   /// backpressure seam: overload callers that can shed use this, callers
   /// carrying completions use push().
-  bool try_push(T item) { return try_push_to(home_shard(), std::move(item)); }
-
-  bool try_push_to(std::size_t shard_index, T item) {
-    const std::size_t cap = capacity_.load(std::memory_order_relaxed);
-    Shard& s = shard(shard_index);
-    {
-      std::unique_lock lk(s.mu, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        collisions_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      if (closed_.load(std::memory_order_acquire)) return false;
-      if (cap != 0 && size_.load(std::memory_order_acquire) >= cap) {
-        rejections_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      s.items.push_back(std::move(item));
-      note_depth(s.items.size());
-      size_.fetch_add(1, std::memory_order_release);
-      pushes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    wake(false);
-    return true;
+  bool try_push(T item) {
+    return push_one(home_shard(), std::move(item),
+                    capacity_.load(std::memory_order_relaxed));
   }
 
-  /// All-or-nothing bounded batch admission: either every item fits under
-  /// capacity() (returns items.size()) or none is admitted (returns 0 and
-  /// counts items.size() rejections when refused by the bound).
-  std::size_t try_push_batch(std::span<T> items) {
+  /// Push to an explicit shard (tests pin items to shards with it).
+  bool push_to(std::size_t shard_index, T item) {
+    return push_one(shard_index, std::move(item), 0);
+  }
+
+  /// Admit a whole batch to the producer's home shard under one shard lock
+  /// and one notification. The batch is atomic with respect to close():
+  /// either every item is admitted (returns items.size()) or the queue was
+  /// closed and none are (returns 0, items are left in a moved-from state
+  /// only when admitted). Items keep their relative order (single shard ⇒
+  /// FIFO within batch).
+  std::size_t push_batch(std::span<T> items) {
     if (items.empty()) return 0;
-    const std::size_t cap = capacity_.load(std::memory_order_relaxed);
     Shard& s = shard(home_shard());
     {
-      std::unique_lock lk(s.mu, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        collisions_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      if (closed_.load(std::memory_order_acquire)) return 0;
-      if (cap != 0 && size_.load(std::memory_order_acquire) + items.size() >
-                          cap) {
-        rejections_.fetch_add(items.size(), std::memory_order_relaxed);
-        return 0;
-      }
-      for (T& item : items) {
-        s.items.push_back(std::move(item));
-      }
-      note_depth(s.items.size());
-      size_.fetch_add(items.size(), std::memory_order_release);
-      batch_pushes_.fetch_add(1, std::memory_order_relaxed);
-      batch_items_.fetch_add(items.size(), std::memory_order_relaxed);
-    }
-    wake(true);
-    return items.size();
-  }
-
-  /// Push to an explicit shard (tests; executors with indexed workers).
-  bool push_to(std::size_t shard_index, T item) {
-    Shard& s = shard(shard_index);
-    {
-      std::unique_lock lk(s.mu, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        collisions_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      if (closed_.load(std::memory_order_acquire)) return false;
-      s.items.push_back(std::move(item));
-      note_depth(s.items.size());
-      size_.fetch_add(1, std::memory_order_release);
-      pushes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    wake(false);
-    return true;
-  }
-
-  /// Admit a whole batch under one shard lock and one notification. The
-  /// batch is atomic with respect to close(): either every item is admitted
-  /// (returns items.size()) or the queue was closed and none are (returns
-  /// 0, items are left in a moved-from state only when admitted).
-  /// Items keep their relative order (single shard ⇒ FIFO within batch).
-  std::size_t push_batch(std::span<T> items) {
-    return push_batch_to(home_shard(), items);
-  }
-
-  std::size_t push_batch_to(std::size_t shard_index, std::span<T> items) {
-    if (items.empty()) return 0;
-    Shard& s = shard(shard_index);
-    {
-      std::unique_lock lk(s.mu, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        collisions_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
+      std::unique_lock lk = lock_counting(s);
       if (closed_.load(std::memory_order_acquire)) return 0;
       for (T& item : items) {
         s.items.push_back(std::move(item));
@@ -268,29 +195,6 @@ class ShardedMpmcQueue {
   /// Non-blocking pop; nullopt when every shard is empty.
   std::optional<T> try_pop() { return try_pop(home_shard()); }
   std::optional<T> try_pop(std::size_t home) { return scan(home); }
-
-  /// Block up to `timeout`; nullopt on timeout or closed-and-empty.
-  template <class Rep, class Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    const std::size_t home = home_shard();
-    for (;;) {
-      const std::uint64_t gen = gen_.load();  // seq_cst: pairs with wake()
-      if (auto item = scan(home)) return item;
-      if (closed_.load(std::memory_order_acquire)) {
-        if (auto item = scan(home)) return item;
-        return std::nullopt;
-      }
-      SleeperGuard sleeper(sleepers_);
-      std::unique_lock lk(cv_mu_);
-      if (!cv_.wait_until(lk, deadline, [&] {
-            return closed_.load(std::memory_order_relaxed) ||
-                   gen_.load(std::memory_order_relaxed) != gen;
-          })) {
-        return std::nullopt;
-      }
-    }
-  }
 
   /// Close the queue: pending items remain poppable, new pushes (and whole
   /// batches) are refused, blocked consumers wake once the queue drains.
@@ -345,6 +249,36 @@ class ShardedMpmcQueue {
 
   Shard& shard(std::size_t index) noexcept {
     return *shards_[index & mask_];
+  }
+
+  /// Lock `s`, counting a collision when another thread holds it.
+  std::unique_lock<std::mutex> lock_counting(Shard& s) {
+    std::unique_lock lk(s.mu, std::try_to_lock);
+    if (!lk.owns_lock()) {
+      collisions_.fetch_add(1, std::memory_order_relaxed);
+      lk.lock();
+    }
+    return lk;
+  }
+
+  /// push_to() and try_push(): refused when closed, or when `cap` is
+  /// nonzero and the queue already holds that many items.
+  bool push_one(std::size_t shard_index, T item, std::size_t cap) {
+    Shard& s = shard(shard_index);
+    {
+      std::unique_lock lk = lock_counting(s);
+      if (closed_.load(std::memory_order_acquire)) return false;
+      if (cap != 0 && size_.load(std::memory_order_acquire) >= cap) {
+        rejections_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      s.items.push_back(std::move(item));
+      note_depth(s.items.size());
+      size_.fetch_add(1, std::memory_order_release);
+      pushes_.fetch_add(1, std::memory_order_relaxed);
+    }
+    wake(false);
+    return true;
   }
 
   /// Small stable per-thread slot, assigned round-robin on first use so

@@ -1,5 +1,7 @@
 #include "executor/work_stealing_executor.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <string>
 
@@ -14,36 +16,32 @@ namespace {
 // worker_main; -1 on foreign threads).
 thread_local const WorkStealingExecutor* t_pool = nullptr;
 thread_local int t_worker_index = -1;
+
+// The CPUs this process may run on, ascending; empty if the mask cannot be
+// read.
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
 }  // namespace
 
 WorkStealingExecutor::WorkStealingExecutor(std::string pool_name,
                                            std::size_t num_threads)
-    : WorkStealingExecutor(
-          std::move(pool_name), num_threads, common::Topology::instance(),
-          common::env_bool("EVMP_PIN").value_or(false)) {}
-
-WorkStealingExecutor::WorkStealingExecutor(std::string pool_name,
-                                           std::size_t num_threads,
-                                           const common::Topology& topo,
-                                           bool pin)
     : Executor(std::move(pool_name)),
       inj_head_(&inj_stub_),
       inj_tail_(&inj_stub_),
-      max_searching_(std::max<std::size_t>(1, num_threads / 2)),
-      pin_workers_(pin) {
+      max_searching_(std::max<std::size_t>(1, num_threads / 2)) {
   if (num_threads == 0) num_threads = 1;
+  if (common::env_bool("EVMP_PIN").value_or(false)) pin_cpus_ = allowed_cpus();
   workers_.reserve(num_threads);
-  const int n = static_cast<int>(num_threads);
-  for (int i = 0; i < n; ++i) {
-    auto worker = std::make_unique<Worker>();
-    // Near-before-far probe order, randomised within each distance tier
-    // (per-worker seed: deterministic across runs, distinct across
-    // workers so equal-tier thieves fan out).
-    auto order = topo.victim_order(i, n, 0x5eed);
-    worker->victims = std::move(order.order);
-    worker->near_victims = order.near_count;
-    worker->cpu = topo.cpu(topo.cpu_for_worker(i)).id;
-    workers_.push_back(std::move(worker));
+  for (std::size_t i = 0; i < num_threads; ++i) {
+    workers_.push_back(std::make_unique<Worker>(static_cast<int>(i)));
   }
   threads_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -201,40 +199,21 @@ WorkStealingExecutor::Took WorkStealingExecutor::take_node(int self,
     out = injected;
     return Took::kElsewhere;
   }
-  // 3. Steal oldest-first, near victims before far ones. A lost CAS
-  //    (kAbort) means the victim demonstrably has traffic — retry it
-  //    rather than walking away from a deque that had work an instant ago.
+  // 3. Steal oldest-first, walking every peer once from a pseudo-random
+  //    start so concurrent thieves fan out: a worker draws the start from
+  //    its own generator, a foreign thief (try_run_one from outside, the
+  //    shutdown drain) from the shared rotation. A lost CAS (kAbort) means
+  //    the victim demonstrably has traffic — retry it rather than walking
+  //    away from a deque that had work an instant ago.
   using Steal = common::ChaseLevDeque<TaskNode*>::Steal;
-  if (self >= 0) {
-    // Worker thief: probe this worker's topology-ordered victim list (SMT
-    // sibling, LLC peers, node peers, remote — shuffled within tiers at
-    // construction). Always starting at the nearest victim is the point:
-    // a hit there keeps the task's captures inside the shared cache.
-    const Worker& me = *workers_[static_cast<std::size_t>(self)];
-    for (std::size_t k = 0; k < me.victims.size(); ++k) {
-      auto& victim =
-          workers_[static_cast<std::size_t>(me.victims[k])]->deque;
-      for (;;) {
-        const Steal result = victim.steal_top(out);
-        if (result == Steal::kSuccess) {
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          if (k < me.near_victims) {
-            near_steals_.fetch_add(1, std::memory_order_relaxed);
-          }
-          return Took::kElsewhere;
-        }
-        if (result == Steal::kEmpty) break;
-      }
-    }
-    return Took::kNothing;
-  }
-  // Foreign thief (try_run_one from outside, shutdown drain): no locality
-  // to exploit — rotate uniformly so repeated helpers spread out.
   const std::size_t n = workers_.size();
   const std::size_t start =
-      next_victim_.fetch_add(1, std::memory_order_relaxed) % n;
+      self >= 0 ? workers_[static_cast<std::size_t>(self)]->rng.next_below(n)
+                : next_victim_.fetch_add(1, std::memory_order_relaxed) % n;
   for (std::size_t k = 0; k < n; ++k) {
-    auto& victim = workers_[(start + k) % n]->deque;
+    const std::size_t v = (start + k) % n;
+    if (static_cast<int>(v) == self) continue;
+    auto& victim = workers_[v]->deque;
     for (;;) {
       const Steal result = victim.steal_top(out);
       if (result == Steal::kSuccess) {
@@ -371,10 +350,7 @@ void WorkStealingExecutor::shutdown() {
                      local_pops_.load(std::memory_order_relaxed));
   tracer.set_counter(prefix + ".steals",
                      steals_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".near_steals",
-                     near_steals_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".far_steals", far_steals());
-  if (pin_workers_) {
+  if (!pin_cpus_.empty()) {
     tracer.set_counter(prefix + ".pinned_workers",
                        pinned_workers_.load(std::memory_order_relaxed));
   }
@@ -385,23 +361,27 @@ void WorkStealingExecutor::shutdown() {
                      batch_posts_.load(std::memory_order_relaxed));
 }
 
-std::vector<int> WorkStealingExecutor::victim_order_for(int worker) const {
-  return workers_.at(static_cast<std::size_t>(worker))->victims;
+namespace {
+// Restrict the calling thread to `cpu`; false if the kernel refuses.
+bool pin_current_thread(int cpu) noexcept {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return sched_setaffinity(0, sizeof(set), &set) == 0;
 }
-
-std::size_t WorkStealingExecutor::near_victims_of(int worker) const {
-  return workers_.at(static_cast<std::size_t>(worker))->near_victims;
-}
+}  // namespace
 
 void WorkStealingExecutor::worker_main(int index) {
   ThreadBinding bind(this);
   t_pool = this;
   t_worker_index = index;
-  if (pin_workers_) {
-    // Advisory: a refused sched_setaffinity (cpuset limits, non-Linux)
-    // leaves the worker unpinned — correctness never depends on placement.
-    const int cpu = workers_[static_cast<std::size_t>(index)]->cpu;
-    if (common::Topology::pin_current_thread(cpu)) {
+  if (!pin_cpus_.empty()) {
+    // Advisory: a refused sched_setaffinity (cpuset changed since
+    // construction) leaves the worker unpinned — correctness never
+    // depends on placement.
+    const int cpu =
+        pin_cpus_[static_cast<std::size_t>(index) % pin_cpus_.size()];
+    if (pin_current_thread(cpu)) {
       pinned_workers_.fetch_add(1, std::memory_order_relaxed);
     }
   }

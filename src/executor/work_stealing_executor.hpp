@@ -36,21 +36,20 @@
 //    no 1 ms polling, no thundering herd, no futex wake aimed at a worker
 //    already woken, and a producer that finds no waiters never reaches a
 //    syscall;
-//  * steal victims are probed near-before-far: each worker's victim order
-//    is built once from common::Topology (SMT sibling, then LLC peer, then
-//    same NUMA node, then remote; randomised within each tier), so a
-//    stolen task's captures cross the smallest possible cache boundary.
-//    near_steals()/far_steals() split the counter at the LLC tier. On
-//    flat topologies (no sysfs) every peer ranks equal and the order
-//    degrades to the shuffled-uniform scan used before.
+//  * a thief walks every peer once from a pseudo-random start: a worker
+//    draws its start from its own common::Xoshiro256 (seeded from its
+//    index), a foreign thief takes the next slot of a shared rotation, so
+//    concurrent thieves fan out instead of queueing on one victim (Go's
+//    and Tokio's steal order; no cache-tier model).
 //
-// EVMP_PIN=1 additionally pins worker i to its topology CPU. Pinning is
-// advisory: where sched_setaffinity is unavailable or refused the workers
-// simply run unpinned (pinned_workers() reports how many stuck).
+// EVMP_PIN=1 additionally pins worker i to the (i mod count)-th CPU of the
+// process's affinity set, read once at construction. Pinning is advisory:
+// where sched_setaffinity is unavailable or refused the workers simply run
+// unpinned (pinned_workers() reports how many stuck).
 //
 // bench_steal_throughput and bench_ablation_pool measure it against the
 // central queue; DESIGN.md §9 documents the memory-ordering and parking
-// arguments, §11 the victim ordering and pinning semantics.
+// arguments, §11.3 the pinning semantics.
 
 #include <atomic>
 #include <cstdint>
@@ -61,23 +60,18 @@
 #include "common/chase_lev_deque.hpp"
 #include "common/event_count.hpp"
 #include "common/object_pool.hpp"
-#include "common/topology.hpp"
+#include "common/rng.hpp"
 #include "executor/executor.hpp"
 
 namespace evmp::exec {
 
 /// Fixed-size pool with per-worker lock-free Chase–Lev deques, a lock-free
-/// injection list for foreign submissions, topology-ordered stealing and
+/// injection list for foreign submissions, random-start stealing and
 /// event-count parking.
 class WorkStealingExecutor final : public Executor {
  public:
-  /// Builds victim orders from the process topology
-  /// (common::Topology::instance()) and honours EVMP_PIN.
+  /// Honours EVMP_PIN (see the header comment).
   WorkStealingExecutor(std::string name, std::size_t num_threads);
-  /// Explicit-topology variant (tests inject fake machines; `topo` is
-  /// copied). `pin` forces worker pinning on or off regardless of EVMP_PIN.
-  WorkStealingExecutor(std::string name, std::size_t num_threads,
-                       const common::Topology& topo, bool pin);
   ~WorkStealingExecutor() override;
 
   void post(Task task) override;
@@ -98,18 +92,9 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::uint64_t local_pops() const noexcept {
     return local_pops_.load(std::memory_order_relaxed);
   }
-  /// Tasks stolen from another worker's deque (all distances).
+  /// Tasks stolen from another worker's deque.
   [[nodiscard]] std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
-  }
-  /// Steals from a victim within the thief's LLC tier (SMT sibling or
-  /// cache peer). Foreign-thread steals have no locality and count as far.
-  [[nodiscard]] std::uint64_t near_steals() const noexcept {
-    return near_steals_.load(std::memory_order_relaxed);
-  }
-  /// Steals that crossed the LLC boundary (plus foreign-thread steals).
-  [[nodiscard]] std::uint64_t far_steals() const noexcept {
-    return steals() - near_steals();
   }
   /// Notifies that reached a counted waiter of the parking event count
   /// (futex wakes issued for single tasks; post_batch and shutdown wake
@@ -125,18 +110,10 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::uint64_t batch_posts() const noexcept {
     return batch_posts_.load(std::memory_order_relaxed);
   }
-  /// Workers successfully pinned to their topology CPU (0 unless
-  /// EVMP_PIN=1 or the pinning constructor was used).
+  /// Workers successfully pinned to their CPU (0 unless EVMP_PIN=1).
   [[nodiscard]] std::uint64_t pinned_workers() const noexcept {
     return pinned_workers_.load(std::memory_order_relaxed);
   }
-
-  /// The victim probe order (worker indices, near-before-far) built for
-  /// one worker — exposed for tests and diagnostics.
-  [[nodiscard]] std::vector<int> victim_order_for(int worker) const;
-  /// How many leading entries of victim_order_for(worker) are near (same
-  /// LLC tier).
-  [[nodiscard]] std::size_t near_victims_of(int worker) const;
 
  private:
   /// Pooled envelope a deque slot or the injection list points at. The
@@ -151,15 +128,12 @@ class WorkStealingExecutor final : public Executor {
   using NodePool = common::ObjectPool<TaskNode>;
 
   struct Worker {
+    explicit Worker(int index) : rng(static_cast<std::uint64_t>(index)) {}
     // Separate cache lines per worker happen naturally: ChaseLevDeque
-    // aligns its hot indices to 64 B internally.
+    // aligns its hot indices to 64 B internally, which also keeps the
+    // owner's generator off the lines thieves read.
     common::ChaseLevDeque<TaskNode*> deque;
-    // Steal probe order (worker indices), nearest tier first; the first
-    // near_victims entries share this worker's LLC. Immutable after
-    // construction.
-    std::vector<int> victims;
-    std::size_t near_victims = 0;
-    int cpu = -1;  ///< topology CPU this worker pins to under EVMP_PIN
+    common::Xoshiro256 rng;  ///< steal start; touched only by the owner
   };
 
   /// Where take_node() found its node. kElsewhere (injection list or a
@@ -167,9 +141,9 @@ class WorkStealingExecutor final : public Executor {
   enum class Took { kNothing, kOwnDeque, kElsewhere };
 
   /// Take a node: own deque first (LIFO), then the injection list, then
-  /// steal (FIFO) near-before-far along the worker's victim order,
+  /// steal (FIFO) from every peer once, starting at a pseudo-random one and
   /// retrying a victim on a lost CAS race. `self` < 0 means a foreign
-  /// caller (injection + rotating uniform steal only).
+  /// caller (no own deque; the start comes from the shared rotation).
   Took take_node(int self, TaskNode*& out);
   /// Climb the spin ladder re-probing every source, if fewer than
   /// max_searching_ workers already do; kNothing when the cap is reached
@@ -235,13 +209,14 @@ class WorkStealingExecutor final : public Executor {
   // notify counted nobody). wake_one() skips its notify while set.
   std::atomic<bool> wake_pending_{false};
   const std::size_t max_searching_;  ///< max(1, workers / 2)
-  bool pin_workers_ = false;
+  // The process's allowed CPUs when EVMP_PIN=1 (worker i pins to entry
+  // i mod size); empty when pinning is off or the mask was unreadable.
+  std::vector<int> pin_cpus_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shut_down_{false};
   std::atomic<std::uint64_t> next_victim_{0};
   std::atomic<std::uint64_t> local_pops_{0};
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> near_steals_{0};
   std::atomic<std::uint64_t> injection_pops_{0};
   std::atomic<std::uint64_t> wakes_{0};
   std::atomic<std::uint64_t> idle_exits_{0};  ///< left_idle() calls

@@ -308,7 +308,14 @@ void Server::handle_on_worker(std::uint64_t cid, std::uint64_t id,
     req.user = cid;
     req.payload = std::move(payload);
     req.arrived = arrived;
-    const http::Response resp = cfg_.handler(req);
+    http::Response resp;  // ok = false: a throwing handler answers 500
+    try {
+      resp = cfg_.handler(req);
+    } catch (...) {
+      // Swallowed so the response still goes out, complete() still drops
+      // the in-flight counts, and stop()'s wait_tag has nothing to rethrow.
+      stats_.handler_errors.fetch_add(1, std::memory_order_relaxed);
+    }
     encode_http_response(wire, resp.ok ? kStatusOk : 500, id, resp.checksum,
                          {});
   }
@@ -429,6 +436,7 @@ ServerStats Server::stats() const noexcept {
       stats_.responses_dropped.load(std::memory_order_relaxed);
   s.protocol_errors =
       stats_.protocol_errors.load(std::memory_order_relaxed);
+  s.handler_errors = stats_.handler_errors.load(std::memory_order_relaxed);
   s.idle_closed = stats_.idle_closed.load(std::memory_order_relaxed);
   s.shed_entries = stats_.shed_entries.load(std::memory_order_relaxed);
   s.accept_gate_closes =
@@ -450,6 +458,7 @@ void Server::publish_counters() const {
   tracer.set_counter(p + "responses_sent", s.responses_sent);
   tracer.set_counter(p + "responses_dropped", s.responses_dropped);
   tracer.set_counter(p + "protocol_errors", s.protocol_errors);
+  tracer.set_counter(p + "handler_errors", s.handler_errors);
   tracer.set_counter(p + "idle_closed", s.idle_closed);
   tracer.set_counter(p + "shed_entries", s.shed_entries);
   tracer.set_counter(p + "accept_gate_closes", s.accept_gate_closes);

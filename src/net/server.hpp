@@ -55,6 +55,7 @@ struct ServerStats {
   std::uint64_t responses_sent = 0;     ///< handler responses queued
   std::uint64_t responses_dropped = 0;  ///< connection gone at completion
   std::uint64_t protocol_errors = 0;    ///< malformed input (closes conn)
+  std::uint64_t handler_errors = 0;     ///< handler threw (answered 500)
   std::uint64_t idle_closed = 0;        ///< closed by the idle timer
   std::uint64_t shed_entries = 0;       ///< ADMIT -> SHED transitions
   std::uint64_t accept_gate_closes = 0;  ///< times the gate shut
@@ -174,6 +175,7 @@ class Server {
     std::atomic<std::uint64_t> responses_sent{0};
     std::atomic<std::uint64_t> responses_dropped{0};
     std::atomic<std::uint64_t> protocol_errors{0};
+    std::atomic<std::uint64_t> handler_errors{0};
     std::atomic<std::uint64_t> idle_closed{0};
     std::atomic<std::uint64_t> shed_entries{0};
     std::atomic<std::uint64_t> accept_gate_closes{0};

@@ -146,18 +146,6 @@ TEST(ShardedMpmcQueue, PopBlocksUntilPush) {
   EXPECT_EQ(*v, 42);
 }
 
-TEST(ShardedMpmcQueue, PopForTimesOutAndDelivers) {
-  ShardedMpmcQueue<int> q(2);
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds{5}).has_value());
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.push(7);
-  });
-  const auto v = q.pop_for(std::chrono::seconds{5});
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
 TEST(ShardedMpmcQueue, StressEveryItemDeliveredOnce) {
   // Multi-producer multi-consumer, mixed single and batched pushes, with a
   // concurrent close after all producers joined: every item delivered

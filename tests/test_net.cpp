@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -666,6 +667,42 @@ TEST_F(NetServerTest, ShedStateRecoversBelowLowWatermark) {
   EXPECT_EQ(responses[0].id, 3u);
   EXPECT_EQ(responses[0].status, kStatusOk);
   EXPECT_EQ(server_->stats().requests_admitted, 2u);
+}
+
+TEST_F(NetServerTest, ThrowingHandlerAnswers500AndServerMovesOn) {
+  // A handler that throws must still answer (500), release its admission
+  // slot (high=1: a leaked slot would shed the next request with a 503),
+  // and leave stop() nothing to rethrow.
+  Server::Config cfg;
+  cfg.mode = Server::Mode::kHandler;
+  cfg.high_watermark = 1;
+  cfg.low_watermark = 0;
+  cfg.handler = [](const http::Request& req) -> http::Response {
+    if (req.id == 1) throw std::runtime_error("handler failure");
+    http::Response resp;
+    resp.id = req.id;
+    resp.ok = true;
+    return resp;
+  };
+  start(std::move(cfg));
+  Fd fd = connect_ready(server_->port());
+  const std::vector<std::uint8_t> payload{7};
+  std::vector<OwnedResponse> responses;
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    std::vector<std::uint8_t> wire;
+    encode_http_request(wire, id, payload);
+    send_all(fd.get(), wire);
+    ASSERT_TRUE(read_responses(fd.get(), id, &responses)) << "request " << id;
+  }
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].id, 1u);
+  EXPECT_EQ(responses[0].status, 500);
+  EXPECT_EQ(responses[1].id, 2u);
+  EXPECT_EQ(responses[1].status, kStatusOk);
+  EXPECT_EQ(server_->stats().handler_errors, 1u);
+  EXPECT_EQ(server_->stats().requests_shed, 0u);
+  server_->stop();
+  EXPECT_EQ(server_->stats().responses_sent, 2u);
 }
 
 TEST_F(NetServerTest, GracefulStopDrainsInflightResponses) {

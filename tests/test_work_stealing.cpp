@@ -1,11 +1,15 @@
 // Tests for the work-stealing executor and its use as a virtual target.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,9 +24,13 @@ namespace evmp::exec {
 
 // Holds and releases the injection consumer flag the way a consumer whose
 // pop misses does, so a test can run posts and parks while it is held;
-// reads the wake mark and the waiter-set exits, and lets the test thread
-// stand in for a worker entering and leaving the waiter set.
+// reads the wake mark and the waiter-set exits, lets the test thread stand
+// in for a worker entering and leaving the waiter set, and tells a task
+// which worker runs it.
 struct WorkStealingTestPeer {
+  static int worker_index(const WorkStealingExecutor& pool) {
+    return pool.current_worker_index();
+  }
   static void hold_injection_flag(WorkStealingExecutor& pool) {
     while (pool.inj_busy_.exchange(true, std::memory_order_acq_rel)) {
       std::this_thread::yield();
@@ -75,6 +83,18 @@ struct Rendezvous {
   std::atomic<bool> stranded{false};
   common::CountdownLatch finished;
 };
+
+// Yield until pred() holds; false after 5 s.
+template <class Pred>
+bool yield_until(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 constexpr int kRendezvousWorkers = 4;
 constexpr int kRendezvousRounds = 50;
@@ -574,6 +594,145 @@ TEST(WorkStealing, ForeignHelpersRacingWorkersLoseNothing) {
   EXPECT_EQ(pool.injection_pops(), static_cast<std::uint64_t>(kTotal));
   EXPECT_EQ(pool.pending(), 0u);
   RecordProperty("helped", static_cast<int>(helped.load()));
+}
+
+TEST(WorkStealing, ExactlyOnceWithMoreWorkersThanCpus) {
+  // More workers than this host has CPUs, so thieves are preempted mid-scan
+  // and mid-CAS: each foreign task spawns a child onto its worker's deque,
+  // and every task must still run once, attributed to exactly one source.
+  constexpr int kPosts = 20'000;
+  constexpr int kTasks = 2 * kPosts;
+  std::vector<std::atomic<int>> runs(kTasks);
+  WorkStealingExecutor pool("ws", 6);
+  for (int i = 0; i < kPosts; ++i) {
+    pool.post([&pool, &runs, i] {
+      runs[static_cast<std::size_t>(i)]++;
+      pool.post([&runs, i] { runs[static_cast<std::size_t>(kPosts + i)]++; });
+    });
+  }
+  ASSERT_TRUE(executed_within(pool, kTasks));
+  pool.shutdown();
+  expect_each_once(runs);
+  EXPECT_EQ(pool.injection_pops(), static_cast<std::uint64_t>(kPosts));
+  EXPECT_EQ(pool.local_pops() + pool.steals() + pool.injection_pops(),
+            static_cast<std::uint64_t>(kTasks));
+}
+
+TEST(WorkStealing, StealReachesEveryPeer) {
+  // Worker v pushes one child onto its own deque and blocks until it has
+  // run, so only a peer's steal can run it. One round per v: the round's
+  // tasks rendezvous first, so each sits on its own worker.
+  constexpr int kWorkers = 4;
+  struct Round {
+    Rendezvous all{kWorkers};
+    common::CountdownLatch child_ran{1};
+    common::CountdownLatch done{kWorkers};
+    std::atomic<bool> timed_out{false};
+  };
+  WorkStealingExecutor pool("ws", kWorkers);
+  for (int v = 0; v < kWorkers; ++v) {
+    auto r = std::make_shared<Round>();
+    const std::uint64_t steals_before = pool.steals();
+    for (int i = 0; i < kWorkers; ++i) {
+      pool.post([&pool, r, v] {
+        r->all.arrive();
+        if (WorkStealingTestPeer::worker_index(pool) == v) {
+          pool.post([r] { r->child_ran.count_down(); });
+          if (!r->child_ran.wait_for(std::chrono::seconds{5})) {
+            r->timed_out.store(true);
+          }
+        }
+        r->done.count_down();
+      });
+    }
+    ASSERT_TRUE(r->done.wait_for(std::chrono::seconds{15})) << "worker " << v;
+    ASSERT_FALSE(r->all.stranded.load()) << "worker " << v;
+    EXPECT_FALSE(r->timed_out.load()) << "no peer stole from worker " << v;
+    EXPECT_GT(pool.steals(), steals_before) << "worker " << v;
+  }
+}
+
+TEST(WorkStealing, ForeignHelperReachesEveryPeerFromEveryStart) {
+  // The foreign thief's start moves by one per scan. With every worker held
+  // and exactly one child queued, on worker v, each of n successive
+  // try_run_one calls (n starts in a row) must find it: no start may leave
+  // a peer out.
+  constexpr int kWorkers = 4;
+  constexpr int kTurns = kWorkers * kWorkers;
+  auto all = std::make_shared<Rendezvous>(kWorkers);
+  // Turn t: phase 2t asks worker t / n for a child, 2t + 1 says it is
+  // queued; 2 * kTurns releases the workers.
+  std::atomic<int> phase{0};
+  std::atomic<int> children_run{0};
+  common::CountdownLatch done(kWorkers);
+  WorkStealingExecutor pool("ws", kWorkers);  // joined before the above die
+  for (int i = 0; i < kWorkers; ++i) {
+    pool.post([&, all] {
+      all->arrive();
+      const int self = WorkStealingTestPeer::worker_index(pool);
+      for (int t = self * kWorkers; t < (self + 1) * kWorkers; ++t) {
+        if (!yield_until([&] { return phase.load() == 2 * t; })) break;
+        pool.post([&] { children_run.fetch_add(1); });
+        phase.store(2 * t + 1);
+      }
+      yield_until([&] { return phase.load() == 2 * kTurns; });
+      done.count_down();
+    });
+  }
+  for (int t = 0; t < kTurns; ++t) {
+    ASSERT_TRUE(yield_until([&] { return phase.load() == 2 * t + 1; }))
+        << "turn " << t;
+    EXPECT_TRUE(pool.try_run_one())
+        << "turn " << t << ": child on worker " << t / kWorkers << " missed";
+    phase.store(2 * t + 2);
+  }
+  ASSERT_TRUE(done.wait_for(std::chrono::seconds{10}));
+  ASSERT_FALSE(all->stranded.load());
+  pool.shutdown();
+  EXPECT_EQ(children_run.load(), kTurns);
+}
+
+TEST(WorkStealing, PinsToAffinityMaskWithoutConstructorFlag) {
+  // EVMP_PIN=1 pins worker i to the (i mod count)-th CPU of the process's
+  // affinity set; pinning is advisory, so a refused pin only lowers the
+  // count. The caller's EVMP_PIN is restored for the rest of the suite.
+  const char* old = std::getenv("EVMP_PIN");
+  const std::optional<std::string> saved =
+      old ? std::optional<std::string>(old) : std::nullopt;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  std::vector<int> allowed;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) allowed.push_back(cpu);
+  }
+  constexpr int kTasks = 100;
+  std::vector<std::pair<int, int>> ran_on(kTasks);  // (worker, cpu)
+  setenv("EVMP_PIN", "1", 1);
+  WorkStealingExecutor pool("ws", 2);
+  common::CountdownLatch latch(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    pool.post([&, i] {
+      ran_on[static_cast<std::size_t>(i)] = {
+          WorkStealingTestPeer::worker_index(pool), sched_getcpu()};
+      latch.count_down();
+    });
+  }
+  const bool all_ran = latch.wait_for(std::chrono::seconds{10});
+  pool.shutdown();  // joins: pinned_workers() is final
+  if (saved) {
+    setenv("EVMP_PIN", saved->c_str(), 1);
+  } else {
+    unsetenv("EVMP_PIN");
+  }
+  ASSERT_TRUE(all_ran);
+  EXPECT_LE(pool.pinned_workers(), 2u);
+  if (pool.pinned_workers() < 2) return;
+  for (const auto& [worker, cpu] : ran_on) {
+    ASSERT_GE(worker, 0);
+    EXPECT_EQ(cpu, allowed[static_cast<std::size_t>(worker) % allowed.size()])
+        << "worker " << worker;
+  }
 }
 
 }  // namespace
