@@ -5,7 +5,9 @@
 // computational spurts needs to be less of a dilemma"; these benchmarks
 // quantify what one directive costs: the membership fast-path (directive
 // ignored), a cross-thread post + join, the await pump loop, and the
-// name_as/wait pair, against a raw function call baseline.
+// name_as/wait pair, against a raw function call baseline. The
+// BM_PostRoundTrip family times a foreign post→run round trip on each
+// executor layer.
 //
 // Two additions back the zero-allocation dispatch claim (DESIGN.md §7):
 //  * a counting operator-new interposer reports heap allocations per
@@ -22,16 +24,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/event_count.hpp"
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "event/event_loop.hpp"
 #include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
+#include "net/reactor.hpp"
 
 // GCC pairs the replaced operator new (malloc-backed) with calls to the
 // replaced sized/aligned deletes and flags them as mismatched even though
@@ -285,12 +292,65 @@ void BM_EdtInvokeLater(benchmark::State& state) {
 }
 BENCHMARK(BM_EdtInvokeLater);
 
+// Post→run round trip per executor layer: a foreign thread posts one task,
+// spins until it has run, and repeats, so each iteration pays the target's
+// wake from idle (or catches it still spinning). The poster's spin climbs
+// the pause/yield ladder and then keeps yielding: a target thread the
+// scheduler placed on the poster's CPU still gets to run without waiting
+// for a scheduler tick. Reported per executor:
+// edt = EventLoop, reactor = net::Reactor (eventfd wake), pool1 =
+// ThreadPoolExecutor(1), steal1 = WorkStealingExecutor(1).
+enum class RoundTripTarget { kEdt, kReactor, kPool1, kSteal1 };
+
+std::unique_ptr<evmp::exec::Executor> start_round_trip_target(
+    RoundTripTarget target) {
+  switch (target) {
+    case RoundTripTarget::kEdt: {
+      auto edt = std::make_unique<evmp::event::EventLoop>("rt.edt");
+      edt->start();
+      return edt;
+    }
+    case RoundTripTarget::kReactor: {
+      auto reactor = std::make_unique<evmp::net::Reactor>("rt.reactor");
+      reactor->start();
+      return reactor;
+    }
+    case RoundTripTarget::kPool1:
+      return std::make_unique<evmp::exec::ThreadPoolExecutor>("rt.pool", 1);
+    case RoundTripTarget::kSteal1:
+      return std::make_unique<evmp::exec::WorkStealingExecutor>("rt.steal", 1);
+  }
+  return nullptr;
+}
+
+void BM_PostRoundTrip(benchmark::State& state, RoundTripTarget target) {
+  const auto executor = start_round_trip_target(target);
+  std::atomic<std::uint64_t> ran{0};
+  std::uint64_t posted = 0;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    executor->post([&ran] { ran.fetch_add(1, std::memory_order_release); });
+    ++posted;
+    evmp::common::SpinWait spin;
+    while (ran.load(std::memory_order_acquire) != posted) {
+      if (!spin.spin()) std::this_thread::yield();
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_PostRoundTrip, edt, RoundTripTarget::kEdt)->UseRealTime();
+BENCHMARK_CAPTURE(BM_PostRoundTrip, reactor, RoundTripTarget::kReactor)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_PostRoundTrip, pool1, RoundTripTarget::kPool1)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_PostRoundTrip, steal1, RoundTripTarget::kSteal1)
+    ->UseRealTime();
+
 // --- steady-state allocation self-check (--alloc-check) -------------------
 
 /// Measure steady-state allocations per nowait dispatch on the submitting
-/// thread. Paced in rounds (dispatch a burst, then join) so queue depth,
-/// ring-buffer capacity and completion-pool population stabilise during
-/// warmup; the measured phase then repeats the identical pattern.
+/// thread. Paced in rounds (dispatch a burst, then join) so queue depth and
+/// the task-node and completion-pool populations stabilise during warmup;
+/// the measured phase then repeats the identical pattern.
 int run_alloc_check(const std::string& budget_path) {
   const double budget =
       read_budget(budget_path, "allocs_per_nowait_dispatch", 0.0);

@@ -23,10 +23,9 @@
 // counters are relaxed atomics. Steady-state, a nowait dispatch performs no
 // heap allocation. It takes resolve()'s registry mutex (mu_) for the target
 // lookup; a name_as dispatch also locks one TagRegistry shard to find its
-// group; the post then takes whatever its executor takes (the loop mutex
-// for EventLoop, a queue shard lock for ThreadPoolExecutor and net::Reactor,
-// none for WorkStealingExecutor, whose foreign posts go to a lock-free
-// injection list).
+// group; the post itself takes no lock on any executor: EventLoop,
+// ThreadPoolExecutor, net::Reactor and WorkStealingExecutor's foreign
+// posts all push onto a lock-free common::MpscList run list.
 
 #include <atomic>
 #include <cstdint>

@@ -12,17 +12,27 @@
 //  * instrumentation: the queue records per-event dispatch delay (time from
 //    post to handler start), handler busy time and nesting depth, which the
 //    responsiveness benchmarks (Figures 7-8) report.
+//
+// The queue is the common::MpscList every executor runs on, so posts take
+// no lock and the EDT keeps one global FIFO. post_delayed() pushes a timed
+// event on the same list; the EDT files it in a DeadlineHeap only it
+// touches and, once it falls due, pushes it back on the tail. The idle EDT
+// waits the way every member thread does: in exec::join, with "stop
+// requested" as the awaited condition, so a post wakes it through
+// Executor::wake_parked_members() and a pending timer bounds its park.
+// As with every executor, a producer must not race the loop's destruction:
+// post() touches the loop after its event became runnable.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/deadline_heap.hpp"
-#include "common/ring_buffer.hpp"
+#include "common/event_count.hpp"
+#include "common/mpsc_list.hpp"
+#include "common/object_pool.hpp"
 #include "common/stats.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
@@ -58,11 +68,11 @@ class EventLoop final : public exec::Executor {
   /// Enqueue an event handler for execution on the EDT.
   void post(exec::Task task) override;
 
-  /// Enqueue a burst of handlers under one queue lock with one wakeup;
-  /// dispatch order within the batch matches submission order, exactly as
-  /// N consecutive post() calls from the same thread would. Keeps the EDT's
-  /// global FIFO (single ready queue) — batching only amortises the
-  /// producer-side synchronisation.
+  /// Enqueue a burst of handlers as one contiguous run with one timestamp
+  /// and one wakeup; dispatch order within the batch matches submission
+  /// order, exactly as N consecutive post() calls from the same thread
+  /// would. Keeps the EDT's global FIFO (single ready queue) — batching
+  /// only amortises the producer-side synchronisation.
   void post_batch(std::span<exec::Task> tasks) override;
 
   /// EDT-only: dispatch one pending event from inside a running handler
@@ -70,9 +80,12 @@ class EventLoop final : public exec::Executor {
   bool try_run_one() override;
 
   [[nodiscard]] std::size_t concurrency() const noexcept override { return 1; }
+  /// Events queued and not yet dispatched. A post_delayed event counts
+  /// until the EDT has filed it with the timers, and again once due.
   [[nodiscard]] std::size_t pending() const override;
-  /// Due time of the earliest post_delayed event: an EDT parked in
-  /// `await` wakes by then to dispatch it.
+  /// EDT-only (the join that parks the EDT asks it): due time of the
+  /// earliest filed post_delayed event, so the parked EDT wakes by then to
+  /// dispatch it.
   [[nodiscard]] std::optional<common::TimePoint> next_timer_due()
       const override;
 
@@ -101,7 +114,8 @@ class EventLoop final : public exec::Executor {
   bool pump_one();
 
   /// Block the calling (non-EDT) thread until the queue is empty and no
-  /// handler is running. Pending delayed events are not waited for.
+  /// handler is running (events a handler pumps count as its own), or the
+  /// loop is stopped. Pending delayed events are not waited for.
   void wait_until_idle();
 
   // --- instrumentation ---------------------------------------------------
@@ -131,24 +145,56 @@ class EventLoop final : public exec::Executor {
   void reset_stats();
 
  private:
-  struct QueuedEvent {
+  /// A queued event in its pooled envelope (common::ObjectPool: recycled,
+  /// never freed, so the steady state allocates nothing).
+  struct EventNode {
+    /// Post instant; for a post_delayed event its due time, so dispatch
+    /// delay measures queue lateness, not the delay.
     common::TimePoint posted;
     exec::Task fn;
+    bool timed = false;  ///< post_delayed event the EDT has yet to file
+    EventNode* pool_next_ = nullptr;
+    std::atomic<EventNode*> next{nullptr};  ///< run-list link
+  };
+  using NodePool = common::ObjectPool<EventNode>;
+  using EventList = common::MpscList<EventNode>;
+
+  /// The awaited condition of the EDT's idle join.
+  struct StopRequested {
+    const EventLoop& loop;
+    [[nodiscard]] bool done() const noexcept {
+      return loop.stop_requested_.load(std::memory_order_seq_cst);
+    }
+    // stop() notifies through wake_parked_members(): the parked EDT is a
+    // registered member, so nothing needs publishing here.
+    common::EventCount& watch(common::Parker& mine) noexcept {
+      return mine.events;
+    }
   };
 
-  void dispatch(QueuedEvent ev);
+  static EventNode* make_node(common::TimePoint posted, exec::Task task,
+                              bool timed);
+  /// Destroy the event unrun and recycle its envelope.
+  static void discard(EventNode* node) noexcept;
+  /// Push a privately linked run; a refused run is discarded with a
+  /// warning naming `what`.
+  bool enqueue(EventNode* first, EventNode* last, std::size_t n,
+               const char* what);
+  /// EDT-only: push due timers back on the tail, file timed events, and
+  /// pop the next immediate event (nullptr when there is none).
+  EventNode* next_event();
+  /// EDT-only: the top level ran out of events; release wait_until_idle().
+  void went_idle() noexcept;
+  void dispatch(EventNode* node);
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  // Grow-only ring, not std::deque: the ready queue reaches a high-water
-  // capacity once and then never allocates on the post/dispatch path.
-  common::RingBuffer<QueuedEvent> queue_;
-  // post_delayed events, already stamped: a timer's "posted" instant is its
-  // due time, so dispatch delay measures queue lateness, not the delay.
-  common::DeadlineHeap<QueuedEvent> timers_;
-  bool stop_requested_ = false;
-  int active_handlers_ = 0;
+  EventList events_;                         ///< closed by stop()
+  common::DeadlineHeap<EventNode*> timers_;  ///< EDT only
+  std::atomic<bool> stop_requested_{false};
+  // True from the top level's first pop after idling until it next finds
+  // the list empty, so nested pumps count as the running handler's. Set
+  // before the pop whose count decrement a waiter may read. EDT-written.
+  std::atomic<bool> busy_{false};
+  common::EventCount idle_waiters_;  ///< wait_until_idle() callers
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> dispatched_{0};

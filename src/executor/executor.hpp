@@ -48,21 +48,11 @@ class Executor {
   /// membership fast-path before posting).
   virtual void post(Task task) = 0;
 
-  /// Bounded submission: as post(), but an executor with a capped run
-  /// queue may refuse the task (returns false, task destroyed unrun) when
-  /// the queue is at capacity. The default accepts unconditionally via
-  /// post(). Callers that cannot shed — completion-carrying dispatches —
-  /// must use post(), whose must-succeed contract is unchanged.
-  virtual bool try_post(Task task) {
-    post(std::move(task));
-    return true;
-  }
-
   /// Submit a burst of tasks in one call, moving each task out of `tasks`.
-  /// Queue-backed executors override this to take their submission lock
-  /// once and notify once per batch instead of once per task; the default
-  /// degrades to per-task post(). Relative order within the batch is
-  /// preserved wherever post() preserves it.
+  /// Queue-backed executors override this to splice the batch onto their
+  /// run list in one step and notify once per batch instead of once per
+  /// task; the default degrades to per-task post(). Relative order within
+  /// the batch is preserved wherever post() preserves it.
   virtual void post_batch(std::span<Task> tasks) {
     for (Task& task : tasks) {
       post(std::move(task));

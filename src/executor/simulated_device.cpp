@@ -14,10 +14,6 @@ void SimulatedDeviceExecutor::post(Task task) {
   ThreadPoolExecutor::post(launch(std::move(task)));
 }
 
-bool SimulatedDeviceExecutor::try_post(Task task) {
-  return ThreadPoolExecutor::try_post(launch(std::move(task)));
-}
-
 void SimulatedDeviceExecutor::post_batch(std::span<Task> tasks) {
   for (Task& task : tasks) task = launch(std::move(task));
   ThreadPoolExecutor::post_batch(tasks);

@@ -35,7 +35,6 @@ class SimulatedDeviceExecutor final : public ThreadPoolExecutor {
   ~SimulatedDeviceExecutor() override;
 
   void post(Task task) override;
-  bool try_post(Task task) override;
   void post_batch(std::span<Task> tasks) override;
 
   [[nodiscard]] int device_id() const noexcept { return device_id_; }

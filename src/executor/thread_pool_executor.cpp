@@ -7,57 +7,77 @@
 
 namespace evmp::exec {
 
-namespace {
-// Index of the calling worker within its pool's thread vector; used as the
-// home-shard hint so worker i drains shard (i mod shards) first. -1 on
-// foreign threads.
-thread_local const ThreadPoolExecutor* t_pool = nullptr;
-thread_local std::size_t t_worker_index = 0;
-}  // namespace
-
 ThreadPoolExecutor::ThreadPoolExecutor(std::string pool_name,
                                        std::size_t num_threads)
-    : Executor(std::move(pool_name)),
-      queue_(num_threads == 0 ? 1 : num_threads) {
+    : Executor(std::move(pool_name)) {
   if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
+    threads_.emplace_back([this] { worker_main(); });
   }
 }
 
 ThreadPoolExecutor::~ThreadPoolExecutor() { shutdown(); }
 
 void ThreadPoolExecutor::post(Task task) {
-  if (!queue_.push(std::move(task))) {
+  TaskNode* node = make_node(std::move(task));
+  if (!queue_.push(node)) {
+    (void)unwrap(node);
     EVMP_LOG_WARN << "task posted to shut-down pool '" << name()
                   << "' was dropped";
     return;
   }
-  wake_parked_members();
-}
-
-bool ThreadPoolExecutor::try_post(Task task) {
-  if (!queue_.try_push(std::move(task))) return false;
-  wake_parked_members();
-  return true;
+  posts_.fetch_add(1, std::memory_order_relaxed);
+  pushed(false);
 }
 
 void ThreadPoolExecutor::post_batch(std::span<Task> tasks) {
   if (tasks.empty()) return;
-  if (queue_.push_batch(tasks) == 0) {
+  TaskChain chain(tasks);
+  if (!queue_.push_chain(chain.first, chain.last, tasks.size())) {
+    chain.drop();
     EVMP_LOG_WARN << "batch of " << tasks.size() << " tasks posted to "
                   << "shut-down pool '" << name() << "' was dropped";
     return;
   }
+  batch_posts_.fetch_add(1, std::memory_order_relaxed);
+  batch_items_.fetch_add(tasks.size(), std::memory_order_relaxed);
+  pushed(true);
+}
+
+void ThreadPoolExecutor::pushed(bool batch) noexcept {
+  // High-water mark for reporting; a benign race between producers.
+  const std::size_t depth = queue_.size();
+  if (depth > max_depth_.load(std::memory_order_relaxed)) {
+    max_depth_.store(depth, std::memory_order_relaxed);
+  }
+  // The task is counted before the waiter count is read; a worker counts
+  // itself a waiter before it re-reads the list (store buffering, DESIGN.md
+  // §9.2), so either it sees the task or this notify reaches it.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (idle_.has_waiters()) {
+    if (batch) {
+      idle_.notify_all();  // a batch may satisfy many parked workers
+    } else {
+      idle_.notify_one();
+    }
+  }
   wake_parked_members();
 }
 
+TaskList::Pop ThreadPoolExecutor::take(TaskNode*& out) noexcept {
+  const TaskList::Pop result = queue_.try_pop(out);
+  if (result == TaskList::Pop::kBusy) {
+    collisions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return result;
+}
+
 bool ThreadPoolExecutor::try_run_one() {
-  auto task = t_pool == this ? queue_.try_pop(t_worker_index)
-                             : queue_.try_pop();
-  if (!task) return false;
-  run_task(*task);
+  TaskNode* node = nullptr;
+  if (take(node) != TaskList::Pop::kTaken) return false;
+  Task task = unwrap(node);
+  run_task(task);
   return true;
 }
 
@@ -67,33 +87,62 @@ std::size_t ThreadPoolExecutor::concurrency() const noexcept {
 
 std::size_t ThreadPoolExecutor::pending() const { return queue_.size(); }
 
+common::ShardedQueueStats ThreadPoolExecutor::queue_stats() const noexcept {
+  common::ShardedQueueStats s;
+  s.pushes = posts_.load(std::memory_order_relaxed);
+  s.batch_pushes = batch_posts_.load(std::memory_order_relaxed);
+  s.batch_items = batch_items_.load(std::memory_order_relaxed);
+  s.collisions = collisions_.load(std::memory_order_relaxed);
+  s.max_depth = max_depth_.load(std::memory_order_relaxed);
+  return s;
+}
+
 void ThreadPoolExecutor::shutdown() {
   if (shut_down_.exchange(true)) return;
-  queue_.close();
-  threads_.clear();  // jthread joins on destruction
+  queue_.close();      // refuse new posts; everything counted stays poppable
+  idle_.notify_all();  // parked workers re-check and drain
+  threads_.clear();    // jthread joins on destruction
 
-  const auto s = queue_.stats();
+  const auto s = queue_stats();
   auto& tracer = common::Tracer::instance();
   const std::string prefix(name());
   tracer.set_counter(prefix + ".posts", s.pushes);
   tracer.set_counter(prefix + ".batch_posts", s.batch_pushes);
   tracer.set_counter(prefix + ".batch_items", s.batch_items);
-  tracer.set_counter(prefix + ".steals", s.steals);
-  tracer.set_counter(prefix + ".shard_collisions", s.collisions);
-  tracer.set_counter(prefix + ".max_shard_depth", s.max_depth);
-  tracer.set_counter(prefix + ".rejections", s.rejections);
+  tracer.set_counter(prefix + ".collisions", s.collisions);
+  tracer.set_counter(prefix + ".max_depth", s.max_depth);
 }
 
-void ThreadPoolExecutor::worker_main(std::size_t index) {
+void ThreadPoolExecutor::worker_main() {
   ThreadBinding bind(this);
-  t_pool = this;
-  t_worker_index = index;
-  while (auto task = queue_.pop(index)) {
-    run_task(*task);
+  common::SpinWait spin;
+  for (;;) {
+    TaskNode* node = nullptr;
+    const TaskList::Pop result = take(node);
+    if (result == TaskList::Pop::kTaken) {
+      Task task = unwrap(node);
+      run_task(task);
+      spin.reset();
+      continue;
+    }
+    // Another worker is mid-pop: its pop is a few loads, so look again.
+    if (result == TaskList::Pop::kBusy) continue;
+    // Closed and the count reads zero: every accepted task has been taken.
+    if (queue_.closed() && queue_.size() == 0) return;
+    if (spin.spin()) continue;
+    // Park. A post whose task the re-check misses fenced before reading
+    // the waiter count, so it sees this waiter and notifies, moving the
+    // epoch (commit_wait returns at once); shutdown's close-then-notify is
+    // caught the same way. A nonzero count here can also be a producer
+    // between its exchange and its link: look again rather than sleep.
+    const auto key = idle_.prepare_wait();
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (queue_.size() != 0 || queue_.closed()) {
+      idle_.cancel_wait();
+      continue;
+    }
+    idle_.commit_wait(key);
   }
-  // pop() returned nullopt: queue closed and fully drained.
-  t_pool = nullptr;
-  t_worker_index = 0;
 }
 
 }  // namespace evmp::exec

@@ -2,36 +2,56 @@
 // Fixed-size worker thread pool — the backing of a `virtual(worker)` target
 // created via virtual_target_create_worker(name, m) (paper Table II).
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "common/sharded_queue.hpp"
+#include "common/event_count.hpp"
 #include "executor/executor.hpp"
+#include "executor/task_node.hpp"
+
+namespace evmp::common {
+
+/// The central pool's run-queue counters (relaxed; observability only).
+/// The name and fields outlive the sharded queue they were written for,
+/// because benchmark harnesses read them; with one run list:
+struct ShardedQueueStats {
+  std::uint64_t pushes = 0;        ///< single-task posts accepted
+  std::uint64_t batch_pushes = 0;  ///< post_batch() calls accepted
+  std::uint64_t batch_items = 0;   ///< tasks admitted via post_batch()
+  std::uint64_t steals = 0;        ///< always 0: there is one list
+  std::uint64_t collisions = 0;    ///< pops answered kBusy (consumer held)
+  std::uint64_t max_depth = 0;     ///< deepest the list read after a push
+};
+
+}  // namespace evmp::common
 
 namespace evmp::exec {
 
-/// A named pool of `m` worker threads sharing one sharded FIFO run queue.
+/// A named pool of `m` worker threads sharing one FIFO run list.
 ///
-/// The queue is striped so disjoint producers take disjoint locks (see
-/// common::ShardedMpmcQueue); each worker drains its own home shard first
-/// and pulls from sibling shards when dry, and post_batch() admits a whole
-/// burst under one lock. Threads are started in the constructor and joined
-/// in the destructor (or an explicit shutdown()); tasks still queued at
-/// shutdown are drained before the threads exit, so no accepted work is
-/// silently dropped.
+/// Posts and batches go to a common::MpscList with no lock; the workers
+/// take turns on its consumer side. A worker turned away by a busy
+/// consumer side looks again at once; one that finds the list empty climbs
+/// the common::SpinWait ladder and then parks on a common::EventCount
+/// (prepare → fence → re-check → commit, as the stealing pool does).
+/// Threads are started in the constructor and joined in the destructor (or
+/// an explicit shutdown()); tasks still queued at shutdown are drained
+/// before the threads exit, so no accepted work is silently dropped.
 ///
-/// The queue has one shard per worker (rounded up to a power of two), so
-/// a one-thread pool is a single-lock FIFO served by one dedicated thread:
-/// tasks run strictly in submission order. That is the serial executor of
-/// a scale-1 worker target and the base of the simulated device.
+/// A one-thread pool runs tasks strictly in submission order: the serial
+/// executor of a scale-1 worker target and the base of the simulated
+/// device.
 class ThreadPoolExecutor : public Executor {
  public:
   ThreadPoolExecutor(std::string name, std::size_t num_threads);
   ~ThreadPoolExecutor() override;
 
   void post(Task task) override;
-  bool try_post(Task task) override;
+  /// The whole batch joins the list as one contiguous run, in order, with
+  /// one notify.
   void post_batch(std::span<Task> tasks) override;
   bool try_run_one() override;
   [[nodiscard]] std::size_t concurrency() const noexcept override;
@@ -42,25 +62,24 @@ class ThreadPoolExecutor : public Executor {
   /// queue counters to common::Tracer under "<name>.<counter>".
   void shutdown();
 
-  /// Bound the run queue for try_post() (0 = unbounded). post() is never
-  /// bounded — see Executor::try_post for the contract split.
-  void set_queue_capacity(std::size_t capacity) noexcept {
-    queue_.set_capacity(capacity);
-  }
-
-  [[nodiscard]] std::size_t queue_capacity() const noexcept {
-    return queue_.capacity();
-  }
-
-  /// Run-queue fan-in counters (posts, batches, steals, collisions ...).
-  [[nodiscard]] common::ShardedQueueStats queue_stats() const noexcept {
-    return queue_.stats();
-  }
+  /// Run-queue counters (posts, batches, consumer collisions, depth).
+  [[nodiscard]] common::ShardedQueueStats queue_stats() const noexcept;
 
  private:
-  void worker_main(std::size_t index);
+  /// try_pop, counting kBusy answers as collisions.
+  TaskList::Pop take(TaskNode*& out) noexcept;
+  /// After a push: record the depth, then wake a parked worker (all of
+  /// them for a batch) and any parked member.
+  void pushed(bool batch) noexcept;
+  void worker_main();
 
-  common::ShardedMpmcQueue<Task> queue_;
+  TaskList queue_;
+  common::EventCount idle_;  ///< parked workers
+  std::atomic<std::uint64_t> posts_{0};
+  std::atomic<std::uint64_t> batch_posts_{0};
+  std::atomic<std::uint64_t> batch_items_{0};
+  std::atomic<std::uint64_t> collisions_{0};
+  std::atomic<std::uint64_t> max_depth_{0};
   std::vector<std::jthread> threads_;
   std::atomic<bool> shut_down_{false};
 };

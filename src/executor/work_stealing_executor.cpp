@@ -34,8 +34,6 @@ std::vector<int> allowed_cpus() {
 WorkStealingExecutor::WorkStealingExecutor(std::string pool_name,
                                            std::size_t num_threads)
     : Executor(std::move(pool_name)),
-      inj_head_(&inj_stub_),
-      inj_tail_(&inj_stub_),
       max_searching_(std::max<std::size_t>(1, num_threads / 2)) {
   if (num_threads == 0) num_threads = 1;
   if (common::env_bool("EVMP_PIN").value_or(false)) pin_cpus_ = allowed_cpus();
@@ -61,16 +59,18 @@ void WorkStealingExecutor::post(Task task) {
                   << "' was dropped";
     return;
   }
-  TaskNode* node = NodePool::acquire();
-  node->fn = std::move(task);
+  TaskNode* node = make_node(std::move(task));
   const int self = current_worker_index();
   if (self >= 0) {
     // Own deque, LIFO end: no lock, no RMW — slot store + release fence.
     workers_[static_cast<std::size_t>(self)]->deque.push_bottom(node);
-  } else {
-    // Foreign threads may not touch a Chase–Lev bottom; inject instead.
-    inj_size_.fetch_add(1, std::memory_order_relaxed);
-    link_injected(node, node);
+  } else if (!injected_.push(node)) {
+    // Foreign threads may not touch a Chase–Lev bottom; they inject, and
+    // the list refuses them once shutdown() closed it.
+    (void)unwrap(node);
+    EVMP_LOG_WARN << "task posted to shut-down stealing pool '" << name()
+                  << "' was dropped";
+    return;
   }
   // The node is visible before wake_one() reads the searcher count, the
   // wake mark and the waiter count; each has a party that fences after
@@ -93,28 +93,18 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   if (self >= 0) {
     // Own deque: append in order behind existing work, like N posts.
     auto& deque = workers_[static_cast<std::size_t>(self)]->deque;
-    for (Task& task : tasks) {
-      TaskNode* node = NodePool::acquire();
-      node->fn = std::move(task);
-      deque.push_bottom(node);
-    }
+    for (Task& task : tasks) deque.push_bottom(make_node(std::move(task)));
   } else {
     // Foreign burst: link the nodes privately in order, then splice the
     // whole chain with one exchange, so the batch stays FIFO.
-    TaskNode* first = nullptr;
-    TaskNode* last = nullptr;
-    for (Task& task : tasks) {
-      TaskNode* node = NodePool::acquire();
-      node->fn = std::move(task);
-      if (last == nullptr) {
-        first = node;
-      } else {
-        last->next.store(node, std::memory_order_relaxed);
-      }
-      last = node;
+    TaskChain chain(tasks);
+    if (!injected_.push_chain(chain.first, chain.last, tasks.size())) {
+      chain.drop();
+      EVMP_LOG_WARN << "batch of " << tasks.size()
+                    << " tasks posted to shut-down stealing pool '" << name()
+                    << "' was dropped";
+      return;
     }
-    inj_size_.fetch_add(tasks.size(), std::memory_order_relaxed);
-    link_injected(first, last);
   }
   // The nodes are visible before wake_parked_members() reads the registry
   // (pairs with a parked member's fenced re-check; see post()).
@@ -124,61 +114,31 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   wake_parked_members();
 }
 
-void WorkStealingExecutor::link_injected(TaskNode* first,
-                                         TaskNode* last) noexcept {
-  last->next.store(nullptr, std::memory_order_relaxed);
-  TaskNode* prev = inj_head_.exchange(last, std::memory_order_acq_rel);
-  // Between the exchange and this store the chain is on the list but not
-  // reachable from it: a consumer sees prev->next == nullptr and reports
-  // nothing. The producer's own notify check follows this store.
-  prev->next.store(first, std::memory_order_release);
+TaskNode* WorkStealingExecutor::pop_injected() noexcept {
+  TaskNode* node = nullptr;
+  switch (injected_.try_pop(node)) {
+    case TaskList::Pop::kTaken:
+      injection_pops_.fetch_add(1, std::memory_order_relaxed);
+      return node;
+    case TaskList::Pop::kEmpty:
+      injection_missed();
+      return nullptr;
+    case TaskList::Pop::kBusy:
+      // "Nothing here" for this consumer, which may park on that answer;
+      // the holder covers it on the way out: injection_missed() after a
+      // miss, spread() after a take.
+      return nullptr;
+  }
+  return nullptr;
 }
 
-WorkStealingExecutor::TaskNode* WorkStealingExecutor::pop_injected() noexcept {
-  // Read-only probe: an idle searcher writes no line a producer needs.
-  if (inj_size_.load(std::memory_order_relaxed) == 0) return nullptr;
-  // One consumer at a time. A held flag means "nothing here", and the
-  // consumer that saw it may park on that answer, so the holder covers it
-  // on the way out: release_injected() wakes a waiter after a miss, and
-  // spread() after a take. Both flag RMWs are acq_rel, so everything a
-  // consumer did before failing here (its prepare_wait, its counter read)
-  // happens before the holder's release and its wake check.
-  if (inj_busy_.exchange(true, std::memory_order_acq_rel)) return nullptr;
-  // Vyukov's pop: skip the stub, take a node once its successor is
-  // linked, re-insert the stub behind a lone last node so it can go too.
-  TaskNode* node = inj_tail_;
-  TaskNode* next = node->next.load(std::memory_order_acquire);
-  if (node == &inj_stub_ && next != nullptr) {
-    inj_tail_ = next;
-    node = next;
-    next = node->next.load(std::memory_order_acquire);
-  }
-  if (node != &inj_stub_ && next == nullptr &&
-      node == inj_head_.load(std::memory_order_acquire)) {
-    link_injected(&inj_stub_, &inj_stub_);
-    next = node->next.load(std::memory_order_acquire);
-  }
-  // No successor: the list is empty, or the next node's producer is
-  // between its exchange and its link.
-  if (node == &inj_stub_ || next == nullptr) {
-    node = nullptr;
-  } else {
-    inj_tail_ = next;
-    inj_size_.fetch_sub(1, std::memory_order_relaxed);
-    injection_pops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  release_injected(node != nullptr);
-  return node;
-}
-
-void WorkStealingExecutor::release_injected(bool took) noexcept {
-  inj_busy_.exchange(false, std::memory_order_acq_rel);
-  // A miss with the counter still up means a producer is between its
-  // count and its link. A consumer turned away by the flag meanwhile may
+void WorkStealingExecutor::injection_missed() noexcept {
+  // A miss with the count still up means a producer is between its count
+  // and its link. A consumer turned away by the busy list meanwhile may
   // have parked on that answer, and that producer may have skipped its
   // notify for a searcher that was turned away too: wake one waiter to
   // re-probe.
-  if (!took && inj_size_.load(std::memory_order_relaxed) != 0) {
+  if (injected_.size() != 0) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     wake_one();
   }
@@ -253,8 +213,7 @@ WorkStealingExecutor::Took WorkStealingExecutor::search(int self,
 }
 
 void WorkStealingExecutor::run_node(TaskNode* node) {
-  Task task = std::move(node->fn);
-  NodePool::release(node);  // recycle before running: spawned children reuse it
+  Task task = unwrap(node);
   run_task(task);
 }
 
@@ -317,7 +276,7 @@ std::size_t WorkStealingExecutor::concurrency() const noexcept {
 }
 
 std::size_t WorkStealingExecutor::pending() const {
-  std::size_t total = inj_size_.load(std::memory_order_relaxed);
+  std::size_t total = injected_.size();
   for (const auto& w : workers_) {
     total += w->deque.size();
   }
@@ -327,17 +286,18 @@ std::size_t WorkStealingExecutor::pending() const {
 void WorkStealingExecutor::shutdown() {
   if (shut_down_.exchange(true)) return;
   stopping_.store(true, std::memory_order_release);
+  injected_.close();  // foreign posts are refused from here on
   idle_.notify_all();
   threads_.clear();  // jthread joins; workers drain before exiting
 
-  // A post() racing shutdown may have slipped a node in after its worker's
-  // final scan, or still be between its exchange and its link; drain
-  // stragglers on this thread until the injection count reads zero.
+  // A post() accepted before the close may have slipped a node in after
+  // its worker's final scan, or still be between its exchange and its
+  // link; drain stragglers on this thread until the count reads zero.
   TaskNode* node = nullptr;
   for (;;) {
     if (take_node(-1, node) != Took::kNothing) {
       run_node(node);
-    } else if (inj_size_.load(std::memory_order_acquire) == 0) {
+    } else if (injected_.size() == 0) {
       break;
     } else {
       std::this_thread::yield();

@@ -14,14 +14,13 @@
 //    nothing (enforced by bench_steal_throughput --alloc-check);
 //  * foreign post() cannot touch a Chase–Lev bottom (owner-only), so
 //    non-worker submissions go to an injection list that workers poll
-//    between their own deque and stealing: Vyukov's intrusive MPSC queue
-//    of the same TaskNodes. A foreign post is one counter bump, one
-//    exchange on the list head and one link store — no lock — and a
-//    foreign batch splices its privately linked chain with one exchange.
-//    Consumers take turns through a try-acquired flag: a worker that finds
-//    it held moves on to stealing (or parks) instead of blocking, and the
-//    holder wakes a parked worker on its way out if nodes remain counted.
-//    A probe that finds the counter at zero writes nothing;
+//    between their own deque and stealing: the common::MpscList every
+//    executor queues on, of the same TaskNodes. A foreign post is one
+//    counter bump, one exchange on the list head and one link store — no
+//    lock — and a foreign batch splices its privately linked chain with
+//    one exchange. A worker that finds the consumer side busy moves on to
+//    stealing (or parks) instead of blocking, and a consumer whose pop
+//    misses wakes a parked worker if nodes remain counted;
 //  * at most max(1, workers/2) idle workers search (climb the spin ladder
 //    re-probing every source) at once; the rest go straight to parking on
 //    a common::EventCount (Go's nmspinning, Tokio's num_searching);
@@ -59,9 +58,9 @@
 
 #include "common/chase_lev_deque.hpp"
 #include "common/event_count.hpp"
-#include "common/object_pool.hpp"
 #include "common/rng.hpp"
 #include "executor/executor.hpp"
+#include "executor/task_node.hpp"
 
 namespace evmp::exec {
 
@@ -116,17 +115,6 @@ class WorkStealingExecutor final : public Executor {
   }
 
  private:
-  /// Pooled envelope a deque slot or the injection list points at. The
-  /// pool requires the node to be default-constructible and expose
-  /// pool_next_; nodes are recycled (released the moment their task is
-  /// moved out), never freed.
-  struct TaskNode {
-    Task fn;
-    TaskNode* pool_next_ = nullptr;
-    std::atomic<TaskNode*> next{nullptr};  ///< injection list link
-  };
-  using NodePool = common::ObjectPool<TaskNode>;
-
   struct Worker {
     explicit Worker(int index) : rng(static_cast<std::uint64_t>(index)) {}
     // Separate cache lines per worker happen naturally: ChaseLevDeque
@@ -149,23 +137,19 @@ class WorkStealingExecutor final : public Executor {
   /// max_searching_ workers already do; kNothing when the cap is reached
   /// or the ladder ran out. Leaves the searcher count before returning.
   Took search(int self, TaskNode*& out);
-  /// Append the privately linked chain first..last to the injection list:
-  /// one exchange on the head, then the link store that makes the chain
-  /// poppable. The caller has already counted its nodes in inj_size_.
-  void link_injected(TaskNode* first, TaskNode* last) noexcept;
-  /// Pop the oldest injected node, or nullptr when the counter reads zero,
-  /// another consumer holds the flag, or the next node's producer is still
-  /// between its exchange and its link.
+  /// Pop the oldest injected node, or nullptr when the count reads zero,
+  /// another consumer holds the list, or the next node's producer is still
+  /// between its exchange and its link (then injection_missed()).
   TaskNode* pop_injected() noexcept;
-  /// Drop the consumer flag. After a miss (`took` false) with nodes still
-  /// counted, wake one parked worker: a consumer turned away by the flag
-  /// may have parked on it.
-  void release_injected(bool took) noexcept;
+  /// A pop missed. With nodes still counted, wake one parked worker: a
+  /// consumer turned away by the busy list meanwhile may have parked on
+  /// that answer.
+  void injection_missed() noexcept;
   /// The task came from the shared backlog or a peer (kElsewhere), so more
   /// may be waiting there while peers sleep: wake one. It does the same
   /// after its own take, so a burst fans out one wake at a time.
   void spread(Took took) noexcept;
-  /// The one wake path of post(), spread() and release_injected(): notify
+  /// The one wake path of post(), spread() and injection_missed(): notify
   /// a parked worker unless a searcher is live, a wake is already in
   /// flight, nobody waits, or nothing is queued. The caller has fenced
   /// after publishing its work.
@@ -185,21 +169,13 @@ class WorkStealingExecutor final : public Executor {
   void worker_main(int index);
   [[nodiscard]] int current_worker_index() const noexcept;
 
-  // Tests hold the consumer flag across posts and parks to drive the
-  // turned-away-consumer interleaving, and read the wake mark and the
-  // waiter-set exits.
+  // Tests hold the injection list's consumer side across posts and parks
+  // to drive the turned-away-consumer interleaving, and read the wake mark
+  // and the waiter-set exits.
   friend struct WorkStealingTestPeer;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  // Injection list (Vyukov's intrusive MPSC queue). Producers exchange
-  // inj_head_ and count their nodes in inj_size_ first, so the counter
-  // never reads below the nodes still linked; inj_tail_ belongs to
-  // whichever consumer holds inj_busy_. inj_stub_ keeps the list non-empty.
-  alignas(64) std::atomic<TaskNode*> inj_head_;
-  std::atomic<std::size_t> inj_size_{0};
-  alignas(64) std::atomic<bool> inj_busy_{false};
-  TaskNode* inj_tail_;
-  TaskNode inj_stub_;
+  TaskList injected_;  ///< foreign submissions; closed by shutdown()
   common::EventCount idle_;
   // Workers currently in search(); wake_one() skips its notify while
   // nonzero.

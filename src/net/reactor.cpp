@@ -26,7 +26,12 @@ Reactor::Reactor(std::string reactor_name)
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev);
 }
 
-Reactor::~Reactor() { stop(); }
+Reactor::~Reactor() {
+  stop();
+  // Posts accepted before a stop() that found no thread to run them are
+  // destroyed unrun.
+  tasks_.drain([](exec::TaskNode* node) { (void)exec::unwrap(node); });
+}
 
 void Reactor::start() {
   if (running_.load(std::memory_order_acquire)) return;
@@ -35,30 +40,31 @@ void Reactor::start() {
 }
 
 void Reactor::stop() {
+  // Close before raising the flag: new posts are refused from here on,
+  // and the loop's final drain, which starts only once it sees the flag,
+  // reads a count that includes every accepted post.
+  tasks_.close();
   if (stop_requested_.exchange(true)) {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Close first: new posts are refused (warned) from here on, while
-  // already-queued tasks stay poppable for the loop's final drain.
-  tasks_.close();
   wake();
   if (thread_.joinable()) thread_.join();
   running_.store(false, std::memory_order_release);
 }
 
 void Reactor::post(exec::Task task) {
-  if (!tasks_.push(std::move(task))) {
+  if (!try_post(std::move(task))) {
     EVMP_LOG_WARN << "task posted to stopped reactor '" << name()
                   << "' was dropped";
-    return;
   }
-  wake();
 }
 
 void Reactor::post_batch(std::span<exec::Task> tasks) {
   if (tasks.empty()) return;
-  if (tasks_.push_batch(tasks) == 0) {
+  exec::TaskChain chain(tasks);
+  if (!tasks_.push_chain(chain.first, chain.last, tasks.size())) {
+    chain.drop();
     EVMP_LOG_WARN << "batch of " << tasks.size() << " tasks posted to "
                   << "stopped reactor '" << name() << "' was dropped";
     return;
@@ -67,18 +73,27 @@ void Reactor::post_batch(std::span<exec::Task> tasks) {
 }
 
 bool Reactor::try_post(exec::Task task) {
-  if (!tasks_.push(std::move(task))) return false;
+  exec::TaskNode* node = exec::make_node(std::move(task));
+  if (!tasks_.push(node)) {
+    (void)exec::unwrap(node);
+    return false;
+  }
   wake();
   return true;
 }
 
 bool Reactor::try_run_one() {
   if (!owns_current_thread()) return false;
-  auto task = tasks_.try_pop();
-  if (!task) return false;
-  run_task(*task);
-  tasks_run_.fetch_add(1, std::memory_order_relaxed);
+  exec::TaskNode* node = nullptr;
+  if (tasks_.try_pop(node) != exec::TaskList::Pop::kTaken) return false;
+  run_node(node);
   return true;
+}
+
+void Reactor::run_node(exec::TaskNode* node) {
+  exec::Task task = exec::unwrap(node);
+  run_task(task);
+  tasks_run_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Reactor::add_fd(int fd, bool want_read, bool want_write,
@@ -165,10 +180,10 @@ void Reactor::wake() {
 }
 
 void Reactor::drain_tasks() {
-  while (auto task = tasks_.try_pop()) {
-    run_task(*task);
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // A post still between its exchange and its link reads as empty here;
+  // its wake() follows the link, so the loop comes back for it.
+  exec::TaskNode* node = nullptr;
+  while (tasks_.try_pop(node) == exec::TaskList::Pop::kTaken) run_node(node);
 }
 
 void Reactor::run() {
@@ -194,8 +209,9 @@ void Reactor::run() {
         [[maybe_unused]] const ssize_t got =
             ::read(wake_fd_.get(), &value, sizeof(value));
         // Clear before the next drain_tasks(): a producer that saw the
-        // flag still set pushed before this clear, so the drain sees it.
-        wake_pending_.store(false);
+        // flag still set linked its task before its exchange, and this
+        // RMW reads from that exchange, so the drain sees the task.
+        wake_pending_.exchange(false);
         wakeups_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -210,7 +226,10 @@ void Reactor::run() {
       if ((ev & EPOLLOUT) != 0) handler->on_writable();
     }
   }
-  drain_tasks();
+  // stop() closed the list before raising the flag: drain until the count
+  // reads zero, waiting out producers still linking, so every accepted
+  // post runs.
+  tasks_.drain([this](exec::TaskNode* node) { run_node(node); });
 }
 
 }  // namespace evmp::net

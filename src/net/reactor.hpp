@@ -8,9 +8,9 @@
 // events come from three sources instead of one:
 //
 //   * fd readiness, harvested edge-triggered from epoll_wait;
-//   * posted tasks (the Executor interface), delivered through a sharded
-//     queue and an eventfd wakeup, which is how completions flow *back*
-//     onto the reactor from worker targets; and
+//   * posted tasks (the Executor interface), delivered through the
+//     common::MpscList run list and an eventfd wakeup, which is how
+//     completions flow *back* onto the reactor from worker targets; and
 //   * timers, kept in a common::DeadlineHeap (connection idle timeouts)
 //     and fired between epoll batches.
 //
@@ -28,8 +28,8 @@
 
 #include "common/clock.hpp"
 #include "common/deadline_heap.hpp"
-#include "common/sharded_queue.hpp"
 #include "executor/executor.hpp"
+#include "executor/task_node.hpp"
 #include "net/socket.hpp"
 
 namespace evmp::net {
@@ -90,7 +90,7 @@ class Reactor final : public exec::Executor {
   /// reported with `false` instead of a warning — for teardown paths where
   /// the caller has a fallback (e.g. Server::stop() clears connections
   /// itself after the join).
-  bool try_post(exec::Task task) override;
+  bool try_post(exec::Task task);
 
   /// Reactor-thread only: run one queued task (lets `await` dispatched
   /// from the reactor thread keep pumping completions). Foreign threads
@@ -100,7 +100,9 @@ class Reactor final : public exec::Executor {
   [[nodiscard]] std::size_t concurrency() const noexcept override {
     return 1;
   }
-  [[nodiscard]] std::size_t pending() const override { return tasks_.size(); }
+  [[nodiscard]] std::size_t pending() const override {
+    return tasks_.size();
+  }
 
   // --- fd registration --------------------------------------------------
   // Registration is edge-triggered (EPOLLET): a callback must consume the
@@ -127,6 +129,7 @@ class Reactor final : public exec::Executor {
  private:
   void run();
   void drain_tasks();
+  void run_node(exec::TaskNode* node);
   void wake();
 
   // Timer internals; reactor thread only.
@@ -138,7 +141,7 @@ class Reactor final : public exec::Executor {
   Fd epoll_;
   Fd wake_fd_;  ///< eventfd; level-triggered member of the epoll set
 
-  common::ShardedMpmcQueue<exec::Task> tasks_;
+  exec::TaskList tasks_;  ///< posted tasks; closed by stop()
   std::atomic<bool> wake_pending_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};

@@ -1,206 +1,250 @@
-// Unit tests for common/sharded_queue (ShardedMpmcQueue),
+// Unit tests for common/mpsc_list (MpscList, the one run list),
 // common/deadline_heap (DeadlineHeap) and common/sync primitives.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/deadline_heap.hpp"
-#include "common/sharded_queue.hpp"
+#include "common/mpsc_list.hpp"
+#include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "executor/executor.hpp"
 
 namespace evmp::common {
 namespace {
 
-// --- ShardedMpmcQueue ------------------------------------------------------
+// --- MpscList --------------------------------------------------------------
 
-TEST(ShardedMpmcQueue, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(ShardedMpmcQueue<int>(1).shard_count(), 1u);
-  EXPECT_EQ(ShardedMpmcQueue<int>(3).shard_count(), 4u);
-  EXPECT_EQ(ShardedMpmcQueue<int>(8).shard_count(), 8u);
-}
+// A test node: which producer pushed it, its place in that producer's
+// sequence, and whether it opened or continued a chain.
+struct Item {
+  int producer = 0;
+  int seq = 0;
+  bool in_chain = false;  ///< follows its predecessor inside one chain
+  bool accepted = false;  ///< its push returned true
+  std::atomic<int> pops{0};
+  std::atomic<Item*> next{nullptr};
+};
+using List = MpscList<Item>;
 
-TEST(ShardedMpmcQueue, SingleProducerFifoOrder) {
-  // One producer always lands in its home shard, so a lone consumer sees
-  // strict FIFO — the per-shard (hence per-producer) ordering guarantee.
-  ShardedMpmcQueue<int> q(8);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 100; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
+// Producer `p` pushes `items` (already sized) in order, as single pushes
+// and chains of 2..8 mixed at random. `before_push` runs before each push
+// and returns whether close() had returned; a push that starts after that
+// must be refused. The producer stops at its first refusal. Returns the
+// number of items accepted.
+template <class BeforePush>
+std::size_t produce(List& list, std::vector<Item>& items, std::size_t p,
+                    BeforePush before_push) {
+  Xoshiro256 rng(p + 1);
+  std::size_t i = 0;
+  while (i < items.size()) {
+    std::size_t n = 1;
+    if (rng.next_below(2) != 0) {
+      n = std::min<std::size_t>(items.size() - i, 2 + rng.next_below(7));
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      Item& item = items[i + k];
+      item.producer = static_cast<int>(p);
+      item.seq = static_cast<int>(i + k);
+      item.in_chain = k != 0;
+      if (k != 0) items[i + k - 1].next.store(&item, std::memory_order_relaxed);
+    }
+    const bool saw_closed = before_push();
+    const bool ok = list.push_chain(&items[i], &items[i + n - 1], n);
+    if (!ok) break;
+    if (saw_closed) {
+      ADD_FAILURE() << "push after close() accepted: producer " << p
+                    << " item " << i;
+      break;
+    }
+    for (std::size_t k = 0; k < n; ++k) items[i + k].accepted = true;
+    i += n;
   }
-  EXPECT_FALSE(q.try_pop().has_value());
+  return i;
 }
 
-TEST(ShardedMpmcQueue, PerShardFifoWithExplicitShards) {
-  ShardedMpmcQueue<int> q(4);
-  // Interleave pushes into two shards; each shard must stay FIFO.
-  q.push_to(0, 1);
-  q.push_to(2, 100);
-  q.push_to(0, 2);
-  q.push_to(2, 200);
-  std::vector<int> shard0, shard2;
-  for (int i = 0; i < 4; ++i) {
-    auto v = q.try_pop(0);
-    ASSERT_TRUE(v.has_value());
-    (*v < 100 ? shard0 : shard2).push_back(*v);
+TEST(MpscList, FifoSingleThreadWithChains) {
+  List list;
+  std::vector<Item> items(5);
+  Item* out = nullptr;
+  EXPECT_EQ(list.try_pop(out), List::Pop::kEmpty);
+  ASSERT_TRUE(list.push(&items[0]));
+  items[1].next.store(&items[2]);
+  items[2].next.store(&items[3]);
+  ASSERT_TRUE(list.push_chain(&items[1], &items[3], 3));
+  ASSERT_TRUE(list.push(&items[4]));
+  EXPECT_EQ(list.size(), 5u);
+  for (Item& expected : items) {
+    ASSERT_EQ(list.try_pop(out), List::Pop::kTaken);
+    EXPECT_EQ(out, &expected);
   }
-  EXPECT_EQ(shard0, (std::vector<int>{1, 2}));
-  EXPECT_EQ(shard2, (std::vector<int>{100, 200}));
+  EXPECT_EQ(list.try_pop(out), List::Pop::kEmpty);
+  EXPECT_EQ(list.size(), 0u);
+  // A popped node may be pushed again.
+  ASSERT_TRUE(list.push(&items[2]));
+  ASSERT_EQ(list.try_pop(out), List::Pop::kTaken);
+  EXPECT_EQ(out, &items[2]);
 }
 
-TEST(ShardedMpmcQueue, PopPullsFromSiblingShards) {
-  ShardedMpmcQueue<int> q(4);
-  q.push_to(3, 7);  // consumer's home shard 0 is empty
-  auto v = q.pop(0);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_GE(q.stats().steals, 1u);
+TEST(MpscList, BusyWhileConsumerSideHeld) {
+  List list;
+  Item a;
+  ASSERT_TRUE(list.push(&a));
+  ASSERT_TRUE(list.try_lock_consumer());
+  Item* out = nullptr;
+  EXPECT_EQ(list.try_pop(out), List::Pop::kBusy);
+  EXPECT_EQ(list.size(), 1u);
+  EXPECT_FALSE(list.try_lock_consumer());
+  list.unlock_consumer();
+  ASSERT_EQ(list.try_pop(out), List::Pop::kTaken);
+  EXPECT_EQ(out, &a);
+  // An empty list answers kEmpty without touching the consumer side.
+  ASSERT_TRUE(list.try_lock_consumer());
+  EXPECT_EQ(list.try_pop(out), List::Pop::kEmpty);
+  list.unlock_consumer();
 }
 
-TEST(ShardedMpmcQueue, BatchEquivalentToIndividualPushes) {
-  // push_batch must deliver exactly the items N pushes would, in the same
-  // (single-producer) order.
-  ShardedMpmcQueue<int> q(4);
-  std::vector<int> batch{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(q.push_batch(batch), 8u);
-  EXPECT_EQ(q.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  const auto s = q.stats();
-  EXPECT_EQ(s.batch_pushes, 1u);
-  EXPECT_EQ(s.batch_items, 8u);
-  EXPECT_EQ(s.pops, 8u);
+TEST(MpscList, CloseRefusesPushesAndChains) {
+  List list;
+  std::vector<Item> items(4);
+  ASSERT_TRUE(list.push(&items[0]));
+  list.close();
+  list.close();  // idempotent
+  EXPECT_TRUE(list.closed());
+  EXPECT_FALSE(list.push(&items[1]));
+  items[2].next.store(&items[3]);
+  EXPECT_FALSE(list.push_chain(&items[2], &items[3], 2));
+  EXPECT_EQ(list.size(), 1u);
+  std::vector<Item*> drained;
+  list.drain([&](Item* item) { drained.push_back(item); });
+  EXPECT_EQ(drained, (std::vector<Item*>{&items[0]}));
+  EXPECT_EQ(list.size(), 0u);
 }
 
-TEST(ShardedMpmcQueue, MoveOnlyPayload) {
-  ShardedMpmcQueue<std::unique_ptr<int>> q(2);
-  std::vector<std::unique_ptr<int>> batch;
-  batch.push_back(std::make_unique<int>(1));
-  batch.push_back(std::make_unique<int>(2));
-  EXPECT_EQ(q.push_batch(batch), 2u);
-  EXPECT_TRUE(q.push(std::make_unique<int>(3)));
-  EXPECT_EQ(**q.pop(), 1);
-  EXPECT_EQ(**q.pop(), 2);
-  EXPECT_EQ(**q.pop(), 3);
-}
+// produce()'s `before_push` for producers that never race a close().
+bool no_close() { return false; }
 
-TEST(ShardedMpmcQueue, CloseRefusesPushAndWholeBatches) {
-  // One shard is the single-lock layout of a one-thread pool; four stripe
-  // it. Either way close() refuses new items and keeps queued ones
-  // poppable, in order.
-  for (const std::size_t shards : {1u, 4u}) {
-    SCOPED_TRACE(shards);
-    ShardedMpmcQueue<int> q(shards);
-    q.push(1);
-    q.push(2);
-    q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.push(3));
-    std::vector<int> batch{4, 5, 6};
-    // close-while-batching contract: the batch is refused atomically — no
-    // partial admission.
-    EXPECT_EQ(q.push_batch(batch), 0u);
-    EXPECT_EQ(*q.pop(), 1);  // pre-close items still drain
-    EXPECT_EQ(*q.pop(), 2);
-    EXPECT_FALSE(q.pop().has_value());
-    EXPECT_EQ(q.size(), 0u);
-  }
-}
-
-TEST(ShardedMpmcQueue, CloseWakesBlockedConsumers) {
-  ShardedMpmcQueue<int> q(4);
-  std::atomic<int> woke{0};
+TEST(MpscList, ExactlyOnceFourProducersTwoConsumers) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kPerProducer = 20000;
+  constexpr std::size_t kTotal = kProducers * kPerProducer;
+  List list;
+  std::vector<std::vector<Item>> items(kProducers);
+  for (auto& v : items) v = std::vector<Item>(kPerProducer);
+  std::atomic<std::size_t> popped{0};
   {
-    std::vector<std::jthread> consumers;
-    for (int i = 0; i < 3; ++i) {
-      consumers.emplace_back([&] {
-        auto v = q.pop();
-        EXPECT_FALSE(v.has_value());
-        woke.fetch_add(1);
+    std::vector<std::jthread> threads;
+    for (int c = 0; c < 2; ++c) {
+      threads.emplace_back([&] {
+        Item* out = nullptr;
+        while (popped.load(std::memory_order_relaxed) < kTotal) {
+          if (list.try_pop(out) == List::Pop::kTaken) {
+            out->pops.fetch_add(1, std::memory_order_relaxed);
+            popped.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
       });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.close();
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] {
+        EXPECT_EQ(produce(list, items[p], p, no_close), kPerProducer);
+      });
+    }
   }
-  EXPECT_EQ(woke.load(), 3);
+  EXPECT_EQ(list.size(), 0u);
+  for (const auto& v : items) {
+    for (const Item& item : v) {
+      ASSERT_EQ(item.pops.load(), 1)
+          << "producer " << item.producer << " seq " << item.seq;
+    }
+  }
 }
 
-TEST(ShardedMpmcQueue, PopBlocksUntilPush) {
-  ShardedMpmcQueue<int> q(4);
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-    q.push(42);
-  });
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
+TEST(MpscList, FifoPerProducerAndChainsStayContiguous) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kPerProducer = 20000;
+  List list;
+  std::vector<std::vector<Item>> items(kProducers);
+  for (auto& v : items) v = std::vector<Item>(kPerProducer);
+  std::vector<int> next_seq(kProducers, 0);
+  std::size_t popped = 0;
+  const Item* prev = nullptr;
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] { produce(list, items[p], p, no_close); });
+    }
+    Item* out = nullptr;
+    while (popped < kProducers * kPerProducer) {
+      if (list.try_pop(out) != List::Pop::kTaken) continue;
+      ++popped;
+      const auto p = static_cast<std::size_t>(out->producer);
+      ASSERT_EQ(out->seq, next_seq[p]) << "producer " << p;
+      ++next_seq[p];
+      if (out->in_chain) {
+        // Nothing from another producer lands inside a chain.
+        ASSERT_EQ(prev, &items[p][static_cast<std::size_t>(out->seq) - 1])
+            << "producer " << p << " seq " << out->seq;
+      }
+      prev = out;
+    }
+  }
 }
 
-TEST(ShardedMpmcQueue, StressEveryItemDeliveredOnce) {
-  // Multi-producer multi-consumer, mixed single and batched pushes, with a
-  // concurrent close after all producers joined: every item delivered
-  // exactly once, none stranded behind the shutdown — on the single-lock
-  // layout and on a striped queue.
-  for (const std::size_t shards : {1u, 4u}) {
-    SCOPED_TRACE(shards);
-    ShardedMpmcQueue<int> q(shards);
-    constexpr int kProducers = 4;
-    constexpr int kConsumers = 4;
-    constexpr int kPerProducer = 4000;
-    std::mutex seen_mu;
-    std::multiset<int> seen;
+TEST(MpscList, CloseRacingProducersDeliversExactlyTheAccepted) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kCap = 100000;
+  List list;
+  std::vector<std::vector<Item>> items(kProducers);
+  for (auto& v : items) v = std::vector<Item>(kCap);
+  std::atomic<bool> close_returned{false};
+  std::atomic<std::size_t> attempts{0};
+  std::atomic<bool> producing{true};
+  {
+    // One consumer pops while the producers race the close.
+    std::jthread consumer([&] {
+      Item* out = nullptr;
+      while (producing.load(std::memory_order_acquire)) {
+        if (list.try_pop(out) == List::Pop::kTaken) out->pops.fetch_add(1);
+      }
+    });
     {
-      std::vector<std::jthread> threads;
-      for (int c = 0; c < kConsumers; ++c) {
-        threads.emplace_back([&] {
-          while (auto v = q.pop()) {
-            std::scoped_lock lk(seen_mu);
-            seen.insert(*v);
-          }
+      std::vector<std::jthread> producers;
+      for (std::size_t p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+          produce(list, items[p], p, [&] {
+            attempts.fetch_add(1, std::memory_order_relaxed);
+            return close_returned.load(std::memory_order_acquire);
+          });
         });
       }
-      {
-        std::vector<std::jthread> producers;
-        for (int p = 0; p < kProducers; ++p) {
-          producers.emplace_back([&q, p] {
-            std::vector<int> batch;
-            for (int i = 0; i < kPerProducer; ++i) {
-              const int value = p * kPerProducer + i;
-              if (p % 2 == 0) {
-                q.push(value);
-              } else {
-                batch.push_back(value);
-                if (batch.size() == 16) {
-                  q.push_batch(batch);
-                  batch.clear();
-                }
-              }
-            }
-            if (!batch.empty()) q.push_batch(batch);
-          });
-        }
+      while (attempts.load(std::memory_order_relaxed) < 2000) {
+        std::this_thread::yield();
       }
-      q.close();
+      list.close();
+      close_returned.store(true, std::memory_order_release);
     }
-    ASSERT_EQ(seen.size(),
-              static_cast<std::size_t>(kProducers) * kPerProducer);
-    for (int v = 0; v < kProducers * kPerProducer; ++v) {
-      ASSERT_EQ(seen.count(v), 1u) << "value " << v;
-    }
-    const auto s = q.stats();
-    EXPECT_EQ(s.pops, static_cast<std::uint64_t>(kProducers) * kPerProducer);
-    EXPECT_GT(s.batch_pushes, 0u);
+    producing.store(false, std::memory_order_release);
   }
+  // Drain what the consumer left: the count must reach zero.
+  list.drain([](Item* item) { item->pops.fetch_add(1); });
+  EXPECT_EQ(list.size(), 0u);
+  Item* out = nullptr;
+  EXPECT_EQ(list.try_pop(out), List::Pop::kEmpty);
+  std::size_t refused = 0;
+  for (const auto& v : items) {
+    for (const Item& item : v) {
+      ASSERT_EQ(item.pops.load(), item.accepted ? 1 : 0)
+          << "producer " << item.producer << " seq " << item.seq;
+      if (!item.accepted) ++refused;
+    }
+  }
+  RecordProperty("refused", static_cast<int>(refused));
 }
 
 TEST(CountdownLatch, OpensAtZero) {

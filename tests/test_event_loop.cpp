@@ -307,6 +307,79 @@ TEST(EventLoop, TimersInterleaveWithImmediateEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// Wait until the EDT has climbed its spin ladder and parked in its idle
+// join (it registers as a parked member of its own loop).
+bool wait_until_parked(const EventLoop& loop) {
+  const auto deadline = common::now() + common::Millis{5000};
+  while (loop.parked_members() == 0) {
+    if (common::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  return true;
+}
+
+TEST(EventLoop, ForeignPostWakesIdleEdt) {
+  // The parked EDT has no timer to wake it: only the post's wake does.
+  EventLoop loop;
+  loop.start();
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(wait_until_parked(loop)) << "round " << round;
+    common::CountdownLatch ran(1);
+    std::jthread poster([&] { loop.post([&] { ran.count_down(); }); });
+    ASSERT_TRUE(ran.wait_for(std::chrono::seconds{2})) << "round " << round;
+  }
+}
+
+TEST(EventLoop, PostDelayedFromForeignThreadWhileIdleFires) {
+  // Nothing else is queued: the EDT must file the timer and bound its next
+  // park by the timer's due time.
+  EventLoop loop;
+  loop.start();
+  ASSERT_TRUE(wait_until_parked(loop));
+  constexpr auto kDelay = common::Millis{20};
+  common::CountdownLatch fired(1);
+  common::TimePoint posted;
+  common::TimePoint ran_at;
+  std::jthread poster([&] {
+    posted = common::now();
+    loop.post_delayed(
+        [&] {
+          ran_at = common::now();
+          fired.count_down();
+        },
+        kDelay);
+  });
+  ASSERT_TRUE(fired.wait_for(std::chrono::seconds{2}));
+  poster.join();
+  const auto elapsed = common::elapsed_ns(posted, ran_at);
+  EXPECT_GE(elapsed, 19'000'000);
+  EXPECT_LE(elapsed, 20'000'000 + 500'000'000) << "fired late";
+}
+
+TEST(EventLoop, WaitUntilIdleCoversPumpedEvents) {
+  // A handler posts two events and pumps them itself: once they ran the
+  // queue is empty, but the handler still runs, so the loop is not idle.
+  EventLoop loop;
+  loop.start();
+  common::CountdownLatch started(1);
+  std::atomic<int> pumped{0};
+  std::atomic<bool> handler_done{false};
+  loop.post([&] {
+    loop.post([&] { pumped.fetch_add(1); });
+    loop.post([&] { pumped.fetch_add(1); });
+    started.count_down();
+    common::precise_sleep(common::Millis{10});
+    while (pumped.load() < 2) ASSERT_TRUE(loop.pump_one());
+    common::precise_sleep(common::Millis{20});
+    handler_done.store(true);
+  });
+  ASSERT_TRUE(started.wait_for(std::chrono::seconds{5}));
+  loop.wait_until_idle();
+  EXPECT_TRUE(handler_done.load());
+  EXPECT_EQ(pumped.load(), 2);
+  EXPECT_EQ(loop.dispatched(), 3u);
+}
+
 TEST(ResponseProbe, MeasuresIdleLoopQuickly) {
   EventLoop loop;
   loop.start();

@@ -344,6 +344,7 @@ TEST(ThreadPool, ManyProducersSpreadOverShards) {
 
 TEST(UnhandledHook, ReceivesFireAndForgetExceptions) {
   static std::atomic<int> hook_hits{0};
+  hook_hits.store(0);  // static: a repeated run starts from zero again
   auto prev = unhandled_exception_hook();
   set_unhandled_exception_hook(
       [](std::string_view, std::exception_ptr) { hook_hits.fetch_add(1); });

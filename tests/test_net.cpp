@@ -2,8 +2,7 @@
 // tasks, timers, shutdown, a socket read joined with Runtime::await_handle
 // from the EDT and from a foreign thread), the loopback server (echo and
 // handler modes, EOF/partial-write/keep-alive paths, idle timeouts, graceful
-// stop) and the watermark admission machinery end to end, plus the
-// bounded injection queue and try_post at the unit level.
+// stop) and the watermark admission machinery end to end.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -20,12 +19,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/sharded_queue.hpp"
 #include "common/sync.hpp"
 #include "core/runtime.hpp"
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
-#include "executor/thread_pool_executor.hpp"
 #include "net/http.hpp"
 #include "net/reactor.hpp"
 #include "net/server.hpp"
@@ -279,6 +276,39 @@ TEST(Reactor, StopIsIdempotentAndRefusesLatePosts) {
   reactor.stop();
   EXPECT_FALSE(reactor.try_post(exec::Task([] { FAIL() << "ran late"; })));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+TEST(Reactor, TryPostRacingStopRunsOrRefuses) {
+  // Producers race stop(): every try_post either returned false or its
+  // task ran before stop() returned — none is accepted and then stranded
+  // behind the loop's final drain.
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 20000;
+  for (int round = 0; round < 5; ++round) {
+    Reactor reactor("t.race");
+    reactor.start();
+    std::atomic<int> ran{0};
+    std::atomic<int> refused{0};
+    std::atomic<int> attempts{0};
+    {
+      std::vector<std::jthread> producers;
+      for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&] {
+          for (int i = 0; i < kPerProducer; ++i) {
+            attempts.fetch_add(1);
+            if (!reactor.try_post(exec::Task([&] { ran.fetch_add(1); }))) {
+              refused.fetch_add(1);
+            }
+          }
+        });
+      }
+      while (ran.load() < 1000) std::this_thread::yield();
+      reactor.stop();
+    }
+    EXPECT_EQ(ran.load() + refused.load(), attempts.load())
+        << "round " << round;
+    EXPECT_EQ(reactor.pending(), 0u) << "round " << round;
+  }
 }
 
 TEST(Reactor, TimerFiresOnceAfterDelay) {
@@ -734,94 +764,6 @@ TEST_F(NetServerTest, GracefulStopDrainsInflightResponses) {
   EXPECT_EQ(responses[0].status, kStatusOk);
   EXPECT_TRUE(read_eof(fd.get()));
   EXPECT_EQ(server_->stats().responses_sent, 1u);
-}
-
-// --- bounded injection queue (unit) --------------------------------------
-
-TEST(BoundedQueue, TryPushRejectsExactlyTheOverflow) {
-  common::ShardedMpmcQueue<int> queue;
-  constexpr std::size_t kCap = 8;
-  constexpr std::size_t kAttempts = 20;
-  queue.set_capacity(kCap);
-  EXPECT_EQ(queue.capacity(), kCap);
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  for (std::size_t i = 0; i < kAttempts; ++i) {
-    if (queue.try_push(static_cast<int>(i))) {
-      ++accepted;
-    } else {
-      ++rejected;
-    }
-  }
-  // No consumer ran: exactly kCap accepted, the rest refused, no deadlock.
-  EXPECT_EQ(accepted, kCap);
-  EXPECT_EQ(rejected, kAttempts - kCap);
-  EXPECT_EQ(queue.size(), kCap);
-  EXPECT_EQ(queue.stats().rejections, kAttempts - kCap);
-  // Draining frees capacity for try_push again.
-  std::size_t popped = 0;
-  while (queue.try_pop()) ++popped;
-  EXPECT_EQ(popped, kCap);
-  EXPECT_TRUE(queue.try_push(1));
-}
-
-TEST(BoundedQueue, PlainPushIgnoresCapacity) {
-  // post()'s must-succeed contract: the bound applies to try_push only,
-  // so completion-carrying dispatches can never be refused.
-  common::ShardedMpmcQueue<int> queue;
-  queue.set_capacity(2);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(queue.push(i));
-  }
-  EXPECT_EQ(queue.size(), 10u);
-  EXPECT_EQ(queue.stats().rejections, 0u);
-}
-
-TEST(BoundedQueue, TryPushRefusedAfterClose) {
-  common::ShardedMpmcQueue<int> queue;
-  queue.set_capacity(4);
-  EXPECT_TRUE(queue.try_push(1));
-  queue.close();
-  EXPECT_FALSE(queue.try_push(2));
-  EXPECT_TRUE(queue.try_pop().has_value());  // pending stays poppable
-}
-
-TEST(BoundedExecutor, TryPostShedsWhenFullThenRecovers) {
-  exec::ThreadPoolExecutor pool("bounded", 2);
-  constexpr std::size_t kCap = 4;
-  pool.set_queue_capacity(kCap);
-  EXPECT_EQ(pool.queue_capacity(), kCap);
-
-  // Gate both workers so the queue depth is fully under our control.
-  std::atomic<bool> release{false};
-  std::atomic<int> gated{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.post(exec::Task([&] {
-      gated.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    }));
-  }
-  while (gated.load() < 2) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  std::size_t accepted = 0;
-  std::size_t refused = 0;
-  constexpr std::size_t kAttempts = 12;
-  for (std::size_t i = 0; i < kAttempts; ++i) {
-    if (pool.try_post(exec::Task([&] { ran.fetch_add(1); }))) {
-      ++accepted;
-    } else {
-      ++refused;
-    }
-  }
-  EXPECT_EQ(accepted, kCap);
-  EXPECT_EQ(refused, kAttempts - kCap);
-
-  release.store(true);
-  pool.shutdown();
-  // Every accepted task ran; every refused task was destroyed, not run.
-  EXPECT_EQ(ran.load(), static_cast<int>(accepted));
-  EXPECT_EQ(pool.queue_stats().rejections, kAttempts - kCap);
 }
 
 }  // namespace

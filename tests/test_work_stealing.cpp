@@ -22,8 +22,8 @@
 
 namespace evmp::exec {
 
-// Holds and releases the injection consumer flag the way a consumer whose
-// pop misses does, so a test can run posts and parks while it is held;
+// Holds and releases the injection list's consumer side the way a consumer
+// whose pop misses does, so a test can run posts and parks while it is held;
 // reads the wake mark and the waiter-set exits, lets the test thread stand
 // in for a worker entering and leaving the waiter set, and tells a task
 // which worker runs it.
@@ -32,12 +32,11 @@ struct WorkStealingTestPeer {
     return pool.current_worker_index();
   }
   static void hold_injection_flag(WorkStealingExecutor& pool) {
-    while (pool.inj_busy_.exchange(true, std::memory_order_acq_rel)) {
-      std::this_thread::yield();
-    }
+    while (!pool.injected_.try_lock_consumer()) std::this_thread::yield();
   }
   static void release_after_miss(WorkStealingExecutor& pool) {
-    pool.release_injected(false);
+    pool.injected_.unlock_consumer();
+    pool.injection_missed();
   }
   static bool wake_pending(const WorkStealingExecutor& pool) {
     return pool.wake_pending_.load(std::memory_order_acquire);
