@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace evmp::common {
 
@@ -56,13 +55,6 @@ std::size_t LatencyHistogram::bucket_of(std::uint64_t ns) noexcept {
   return static_cast<std::size_t>(((msb - kSubBits + 1) << kSubBits) + sub);
 }
 
-std::uint64_t LatencyHistogram::bucket_midpoint(std::size_t b) noexcept {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  bucket_bounds(b, &lo, &hi);
-  return lo + (hi - lo) / 2;
-}
-
 void LatencyHistogram::bucket_bounds(std::size_t b, std::uint64_t* lo,
                                      std::uint64_t* hi) noexcept {
   if (b < (1u << kSubBits)) {
@@ -84,27 +76,6 @@ void LatencyHistogram::record(std::uint64_t ns) noexcept {
 
 std::uint64_t LatencyHistogram::total_count() const noexcept {
   return n_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t LatencyHistogram::percentile(double q) const noexcept {
-  const std::uint64_t total = total_count();
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    seen += counts_[b].load(std::memory_order_relaxed);
-    if (seen >= target) return bucket_midpoint(b);
-  }
-  return bucket_midpoint(counts_.size() - 1);
-}
-
-double LatencyHistogram::mean_ns() const noexcept {
-  const std::uint64_t total = total_count();
-  if (total == 0) return 0.0;
-  return static_cast<double>(sum_.load(std::memory_order_relaxed)) /
-         static_cast<double>(total);
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const noexcept {
@@ -183,15 +154,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) noexcept {
   }
   sum_ += other.sum_;
   n_ += other.n_;
-}
-
-std::string LatencyHistogram::summary() const {
-  std::ostringstream os;
-  os << "n=" << total_count() << " mean=" << mean_ns() / 1e6 << "ms"
-     << " p50=" << static_cast<double>(percentile(0.50)) / 1e6 << "ms"
-     << " p99=" << static_cast<double>(percentile(0.99)) / 1e6 << "ms"
-     << " max=" << static_cast<double>(percentile(1.0)) / 1e6 << "ms";
-  return os.str();
 }
 
 void LatencyHistogram::reset() noexcept {

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace evmp::common {
@@ -88,9 +87,14 @@ class LatencyHistogram {
   void record(std::uint64_t ns) noexcept;
 
   [[nodiscard]] std::uint64_t total_count() const noexcept;
-  /// Approximate percentile (ns); q in [0,1]. Returns 0 if empty.
-  [[nodiscard]] std::uint64_t percentile(double q) const noexcept;
-  [[nodiscard]] double mean_ns() const noexcept;
+  /// snapshot().percentile(q): interpolated percentile (ns); q in [0,1].
+  /// Returns 0 if empty.
+  [[nodiscard]] std::uint64_t percentile(double q) const noexcept {
+    return snapshot().percentile(q);
+  }
+  [[nodiscard]] double mean_ns() const noexcept {
+    return snapshot().mean_ns();
+  }
 
   /// Copyable point-in-time copy (quiescent snapshots are exact; a
   /// snapshot taken while writers race is a consistent-enough view for
@@ -100,9 +104,6 @@ class LatencyHistogram {
   /// Fold another histogram's counts into this one (bucket-wise; exact).
   void merge(const LatencyHistogram& other) noexcept;
 
-  /// Render a compact human-readable summary line (count/mean/p50/p99/max).
-  [[nodiscard]] std::string summary() const;
-
   void reset() noexcept;
 
  private:
@@ -110,7 +111,6 @@ class LatencyHistogram {
   static constexpr int kSubBits = HistogramSnapshot::kSubBits;
   static constexpr int kBuckets = HistogramSnapshot::kBuckets;
   static std::size_t bucket_of(std::uint64_t ns) noexcept;
-  static std::uint64_t bucket_midpoint(std::size_t b) noexcept;
   /// Inclusive value range covered by bucket `b` ([lo, hi]).
   static void bucket_bounds(std::size_t b, std::uint64_t* lo,
                             std::uint64_t* hi) noexcept;

@@ -69,19 +69,9 @@ void Tracer::set_counter(std::string name, std::uint64_t value) {
   counters_[std::move(name)] = value;
 }
 
-void Tracer::add_counter(std::string name, std::uint64_t delta) {
-  std::scoped_lock lk(counters_mu_);
-  counters_[std::move(name)] += delta;
-}
-
 std::map<std::string, std::uint64_t> Tracer::counters() const {
   std::scoped_lock lk(counters_mu_);
   return counters_;
-}
-
-void Tracer::clear_counters() {
-  std::scoped_lock lk(counters_mu_);
-  counters_.clear();
 }
 
 std::uint32_t Tracer::current_thread_id() {

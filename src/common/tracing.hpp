@@ -63,15 +63,13 @@ class Tracer {
   void set_capacity(std::size_t cap);
 
   // --- named counters -----------------------------------------------------
-  // Executors publish their run-queue statistics here (posts, batched
-  // posts, steals, shard collisions, max depth ...) keyed by
-  // "<executor>.<counter>". Unlike spans, counters are collected even while
-  // span tracing is disabled: they are set at executor shutdown, not on the
-  // hot path, and the figure benches print them after each sweep.
+  // Counter groups publish here keyed by "<prefix>.<counter>"
+  // (common::Counters::publish; see counters.hpp). Unlike spans, counters
+  // are collected even while span tracing is disabled: they are set when an
+  // executor or server shuts down, not on the hot path, and the figure
+  // benches print them after each sweep.
   void set_counter(std::string name, std::uint64_t value);
-  void add_counter(std::string name, std::uint64_t delta);
   [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
-  void clear_counters();
 
  private:
   Tracer() = default;

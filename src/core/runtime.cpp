@@ -133,7 +133,7 @@ Runtime::DispatchPlan Runtime::plan_dispatch(std::string_view tname,
   // Algorithm 1, line 6: T ∈ E → execute synchronously by T. The directive
   // is "simply ignored" (thread-context awareness).
   if (executor.owns_current_thread()) {
-    stats_.inline_fast_path.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&RuntimeStats::inline_fast_path);
     plan.run_inline = true;
     return plan;
   }
@@ -158,7 +158,7 @@ Runtime::DispatchPlan Runtime::plan_dispatch(std::string_view tname,
 exec::TaskHandle Runtime::finish_dispatch(exec::CompletionRef state,
                                           Async mode,
                                           exec::Executor* executor) {
-  stats_.posted.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&RuntimeStats::posted);
   switch (mode) {
     case Async::kNowait:
     case Async::kNameAs:
@@ -170,7 +170,7 @@ exec::TaskHandle Runtime::finish_dispatch(exec::CompletionRef state,
       return exec::TaskHandle(std::move(state));
     case Async::kDefault:
       // Line 17: plain wait (standard `target` behaviour).
-      stats_.default_waits.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&RuntimeStats::default_waits);
       verified_wait(state, *executor);
       return exec::TaskHandle(std::move(state));
   }
@@ -219,8 +219,7 @@ std::vector<exec::TaskHandle> Runtime::invoke_target_batch(
   // Thread-context awareness applies to the whole burst: member threads run
   // it synchronously in order (Algorithm 1 line 6, N times).
   if (executor.owns_current_thread()) {
-    stats_.inline_fast_path.fetch_add(blocks.size(),
-                                      std::memory_order_relaxed);
+    stats_.add(&RuntimeStats::inline_fast_path, blocks.size());
     for (auto& block : blocks) block();
     return handles;
   }
@@ -247,8 +246,8 @@ std::vector<exec::TaskHandle> Runtime::invoke_target_batch(
     });
   }
   executor.post_batch(wrapped);
-  stats_.posted.fetch_add(handles.size(), std::memory_order_relaxed);
-  stats_.batch_posts.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&RuntimeStats::posted, handles.size());
+  stats_.add(&RuntimeStats::batch_posts);
 
   switch (mode) {
     case Async::kNowait:
@@ -260,8 +259,7 @@ std::vector<exec::TaskHandle> Runtime::invoke_target_batch(
       }
       return handles;
     case Async::kDefault:
-      stats_.default_waits.fetch_add(handles.size(),
-                                     std::memory_order_relaxed);
+      stats_.add(&RuntimeStats::default_waits, handles.size());
       for (const auto& handle : handles) {
         verified_wait(handle.state(), executor);
       }
@@ -298,7 +296,7 @@ exec::JoinStats Runtime::logical_barrier(Wait&& wait, Edge&& edge,
                                          const char* what) {
   exec::Executor* helper = exec::Executor::current();
   if (helper != nullptr && t_await_depth >= kMaxAwaitDepth) {
-    stats_.await_depth_capped.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&RuntimeStats::await_depth_capped);
     helper = nullptr;
   }
   const DepthScope depth(helper != nullptr);
@@ -326,14 +324,14 @@ exec::JoinStats Runtime::logical_barrier(Wait&& wait, Edge&& edge,
     }
   }
   if (stats.parks != 0) {
-    stats_.await_parks.fetch_add(stats.parks, std::memory_order_relaxed);
+    stats_.add(&RuntimeStats::await_parks, stats.parks);
   }
   return stats;
 }
 
 void Runtime::await_completion(const exec::CompletionRef& state,
                                exec::Executor* target) {
-  stats_.awaits.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&RuntimeStats::awaits);
   // "while B is not finished do T.processAnotherEventHandler()": a member
   // thread drains its own executor's queue (the EDT dispatches other
   // events; a pool thread runs other tasks) and parks when it is empty.
@@ -349,7 +347,7 @@ void Runtime::await_completion(const exec::CompletionRef& state,
       },
       "await logical barrier");
   if (stats.pumped != 0) {
-    stats_.await_pumped.fetch_add(stats.pumped, std::memory_order_relaxed);
+    stats_.add(&RuntimeStats::await_pumped, stats.pumped);
   }
   if (analysis::RaceCheck* rc = analysis::RaceCheck::active()) {
     rc->on_join(state.get());
@@ -381,32 +379,6 @@ void Runtime::wait_tag(std::string_view tag) {
 
 TargetRef Runtime::target(std::string tname) {
   return TargetRef(*this, std::move(tname));
-}
-
-RuntimeStats Runtime::stats() const {
-  RuntimeStats out;
-  out.inline_fast_path =
-      stats_.inline_fast_path.load(std::memory_order_relaxed);
-  out.posted = stats_.posted.load(std::memory_order_relaxed);
-  out.batch_posts = stats_.batch_posts.load(std::memory_order_relaxed);
-  out.awaits = stats_.awaits.load(std::memory_order_relaxed);
-  out.await_pumped = stats_.await_pumped.load(std::memory_order_relaxed);
-  out.await_parks = stats_.await_parks.load(std::memory_order_relaxed);
-  out.await_depth_capped =
-      stats_.await_depth_capped.load(std::memory_order_relaxed);
-  out.default_waits = stats_.default_waits.load(std::memory_order_relaxed);
-  return out;
-}
-
-void Runtime::reset_stats() {
-  stats_.inline_fast_path.store(0, std::memory_order_relaxed);
-  stats_.posted.store(0, std::memory_order_relaxed);
-  stats_.batch_posts.store(0, std::memory_order_relaxed);
-  stats_.awaits.store(0, std::memory_order_relaxed);
-  stats_.await_pumped.store(0, std::memory_order_relaxed);
-  stats_.await_parks.store(0, std::memory_order_relaxed);
-  stats_.await_depth_capped.store(0, std::memory_order_relaxed);
-  stats_.default_waits.store(0, std::memory_order_relaxed);
 }
 
 Runtime& rt() {

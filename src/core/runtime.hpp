@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "analysis/race_check.hpp"
+#include "common/counters.hpp"
 #include "core/async_mode.hpp"
 #include "core/tag_group.hpp"
 #include "event/event_loop.hpp"
@@ -71,6 +72,17 @@ struct RuntimeStats {
   std::uint64_t await_parks = 0;       ///< parks in await / wait(name-tag)
   std::uint64_t await_depth_capped = 0;  ///< barriers at kMaxAwaitDepth
   std::uint64_t default_waits = 0;
+
+  static constexpr common::CounterField<RuntimeStats> kFields[] = {
+      {"inline_fast_path", &RuntimeStats::inline_fast_path},
+      {"posted", &RuntimeStats::posted},
+      {"batch_posts", &RuntimeStats::batch_posts},
+      {"awaits", &RuntimeStats::awaits},
+      {"await_pumped", &RuntimeStats::await_pumped},
+      {"await_parks", &RuntimeStats::await_parks},
+      {"await_depth_capped", &RuntimeStats::await_depth_capped},
+      {"default_waits", &RuntimeStats::default_waits},
+  };
 };
 
 /// The EventMP runtime. Instantiable (tests create private runtimes); most
@@ -167,11 +179,11 @@ class Runtime {
   }
 
   /// Batched Algorithm 1: dispatch a burst of target blocks to one virtual
-  /// target as a single submission — queue-backed executors take their
-  /// shard lock once and wake consumers once for the whole burst (see
-  /// Executor::post_batch). Returns one handle per block, in submission
-  /// order. Per-block semantics match invoke_target_block: kNowait /
-  /// kNameAs return immediately (tag joins via wait_tag as usual); kAwait
+  /// target as a single submission — the burst joins the executor's run
+  /// list as one spliced chain with one wakeup (see Executor::post_batch).
+  /// Returns one handle per block, in submission order. Per-block
+  /// semantics match invoke_target_block: kNowait / kNameAs return
+  /// immediately (tag joins via wait_tag as usual); kAwait
   /// applies the logical barrier until every block in the burst finished;
   /// kDefault blocks until every block finished. Blocks run inline (and
   /// the returned handles are empty) when the calling thread belongs to
@@ -216,8 +228,8 @@ class Runtime {
   /// Fluent directive entry point: rt.target("worker").await([&]{...});
   TargetRef target(std::string tname);
 
-  [[nodiscard]] RuntimeStats stats() const;
-  void reset_stats();
+  [[nodiscard]] RuntimeStats stats() const { return stats_.snapshot(); }
+  void reset_stats() { stats_.reset(); }
 
  private:
   /// Everything plan-shaped Algorithm 1 decides before the block is
@@ -305,19 +317,9 @@ class Runtime {
 
   TagRegistry tags_;
 
-  /// Hot-path counters: relaxed atomics (the seed serialised every
-  /// dispatch through a stats mutex).
-  struct AtomicStats {
-    std::atomic<std::uint64_t> inline_fast_path{0};
-    std::atomic<std::uint64_t> posted{0};
-    std::atomic<std::uint64_t> batch_posts{0};
-    std::atomic<std::uint64_t> awaits{0};
-    std::atomic<std::uint64_t> await_pumped{0};
-    std::atomic<std::uint64_t> await_parks{0};
-    std::atomic<std::uint64_t> await_depth_capped{0};
-    std::atomic<std::uint64_t> default_waits{0};
-  };
-  AtomicStats stats_;
+  /// Hot-path counters: one relaxed RMW per bump (the seed serialised
+  /// every dispatch through a stats mutex).
+  common::Counters<RuntimeStats> stats_;
 };
 
 /// Process-wide runtime instance (lazily constructed, never destroyed before

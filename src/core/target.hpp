@@ -60,8 +60,8 @@ class TargetRef {
   }
 
   // --- batched forms ------------------------------------------------------
-  // A burst of target blocks submitted as one operation: the backing
-  // executor takes its shard lock once and wakes workers once (see
+  // A burst of target blocks submitted as one operation: it joins the
+  // backing executor's run list as one chain with one wakeup (see
   // Runtime::invoke_target_batch). One handle per block, in order.
 
   /// nowait burst: fire-and-forget the whole batch.

@@ -1,9 +1,6 @@
 #include "executor/thread_pool_executor.hpp"
 
-#include <string>
-
 #include "common/logging.hpp"
-#include "common/tracing.hpp"
 
 namespace evmp::exec {
 
@@ -27,7 +24,7 @@ void ThreadPoolExecutor::post(Task task) {
                   << "' was dropped";
     return;
   }
-  posts_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&common::ShardedQueueStats::pushes);
   pushed(false);
 }
 
@@ -40,17 +37,13 @@ void ThreadPoolExecutor::post_batch(std::span<Task> tasks) {
                   << "shut-down pool '" << name() << "' was dropped";
     return;
   }
-  batch_posts_.fetch_add(1, std::memory_order_relaxed);
-  batch_items_.fetch_add(tasks.size(), std::memory_order_relaxed);
+  counters_.add(&common::ShardedQueueStats::batch_pushes);
+  counters_.add(&common::ShardedQueueStats::batch_items, tasks.size());
   pushed(true);
 }
 
 void ThreadPoolExecutor::pushed(bool batch) noexcept {
-  // High-water mark for reporting; a benign race between producers.
-  const std::size_t depth = queue_.size();
-  if (depth > max_depth_.load(std::memory_order_relaxed)) {
-    max_depth_.store(depth, std::memory_order_relaxed);
-  }
+  counters_.raise(&common::ShardedQueueStats::max_depth, queue_.size());
   // The task is counted before the waiter count is read; a worker counts
   // itself a waiter before it re-reads the list (store buffering, DESIGN.md
   // §9.2), so either it sees the task or this notify reaches it.
@@ -68,7 +61,7 @@ void ThreadPoolExecutor::pushed(bool batch) noexcept {
 TaskList::Pop ThreadPoolExecutor::take(TaskNode*& out) noexcept {
   const TaskList::Pop result = queue_.try_pop(out);
   if (result == TaskList::Pop::kBusy) {
-    collisions_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(&common::ShardedQueueStats::collisions);
   }
   return result;
 }
@@ -87,30 +80,12 @@ std::size_t ThreadPoolExecutor::concurrency() const noexcept {
 
 std::size_t ThreadPoolExecutor::pending() const { return queue_.size(); }
 
-common::ShardedQueueStats ThreadPoolExecutor::queue_stats() const noexcept {
-  common::ShardedQueueStats s;
-  s.pushes = posts_.load(std::memory_order_relaxed);
-  s.batch_pushes = batch_posts_.load(std::memory_order_relaxed);
-  s.batch_items = batch_items_.load(std::memory_order_relaxed);
-  s.collisions = collisions_.load(std::memory_order_relaxed);
-  s.max_depth = max_depth_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void ThreadPoolExecutor::shutdown() {
   if (shut_down_.exchange(true)) return;
   queue_.close();      // refuse new posts; everything counted stays poppable
   idle_.notify_all();  // parked workers re-check and drain
   threads_.clear();    // jthread joins on destruction
-
-  const auto s = queue_stats();
-  auto& tracer = common::Tracer::instance();
-  const std::string prefix(name());
-  tracer.set_counter(prefix + ".posts", s.pushes);
-  tracer.set_counter(prefix + ".batch_posts", s.batch_pushes);
-  tracer.set_counter(prefix + ".batch_items", s.batch_items);
-  tracer.set_counter(prefix + ".collisions", s.collisions);
-  tracer.set_counter(prefix + ".max_depth", s.max_depth);
+  counters_.publish(name());
 }
 
 void ThreadPoolExecutor::worker_main() {

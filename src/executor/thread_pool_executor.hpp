@@ -8,15 +8,16 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/event_count.hpp"
 #include "executor/executor.hpp"
 #include "executor/task_node.hpp"
 
 namespace evmp::common {
 
-/// The central pool's run-queue counters (relaxed; observability only).
-/// The name and fields outlive the sharded queue they were written for,
-/// because benchmark harnesses read them; with one run list:
+/// The central pool's run-list counters (relaxed; observability only),
+/// published at shutdown as "<pool>.<name>". Benchmark harnesses read the
+/// struct by this name.
 struct ShardedQueueStats {
   std::uint64_t pushes = 0;        ///< single-task posts accepted
   std::uint64_t batch_pushes = 0;  ///< post_batch() calls accepted
@@ -24,6 +25,15 @@ struct ShardedQueueStats {
   std::uint64_t steals = 0;        ///< always 0: there is one list
   std::uint64_t collisions = 0;    ///< pops answered kBusy (consumer held)
   std::uint64_t max_depth = 0;     ///< deepest the list read after a push
+
+  static constexpr CounterField<ShardedQueueStats> kFields[] = {
+      {"posts", &ShardedQueueStats::pushes},
+      {"batch_posts", &ShardedQueueStats::batch_pushes},
+      {"batch_items", &ShardedQueueStats::batch_items},
+      {"steals", &ShardedQueueStats::steals},
+      {"collisions", &ShardedQueueStats::collisions},
+      {"max_depth", &ShardedQueueStats::max_depth},
+  };
 };
 
 }  // namespace evmp::common
@@ -62,8 +72,10 @@ class ThreadPoolExecutor : public Executor {
   /// queue counters to common::Tracer under "<name>.<counter>".
   void shutdown();
 
-  /// Run-queue counters (posts, batches, consumer collisions, depth).
-  [[nodiscard]] common::ShardedQueueStats queue_stats() const noexcept;
+  /// Run-list counters (posts, batches, consumer collisions, depth).
+  [[nodiscard]] common::ShardedQueueStats queue_stats() const noexcept {
+    return counters_.snapshot();
+  }
 
  private:
   /// try_pop, counting kBusy answers as collisions.
@@ -75,11 +87,7 @@ class ThreadPoolExecutor : public Executor {
 
   TaskList queue_;
   common::EventCount idle_;  ///< parked workers
-  std::atomic<std::uint64_t> posts_{0};
-  std::atomic<std::uint64_t> batch_posts_{0};
-  std::atomic<std::uint64_t> batch_items_{0};
-  std::atomic<std::uint64_t> collisions_{0};
-  std::atomic<std::uint64_t> max_depth_{0};
+  common::Counters<common::ShardedQueueStats> counters_;
   std::vector<std::jthread> threads_;
   std::atomic<bool> shut_down_{false};
 };

@@ -7,7 +7,6 @@
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
-#include "common/tracing.hpp"
 
 namespace evmp::exec {
 
@@ -109,7 +108,7 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   // The nodes are visible before wake_parked_members() reads the registry
   // (pairs with a parked member's fenced re-check; see post()).
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  batch_posts_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&WorkStealingStats::batch_posts);
   idle_.notify_all();  // a batch may satisfy many parked workers
   wake_parked_members();
 }
@@ -118,7 +117,7 @@ TaskNode* WorkStealingExecutor::pop_injected() noexcept {
   TaskNode* node = nullptr;
   switch (injected_.try_pop(node)) {
     case TaskList::Pop::kTaken:
-      injection_pops_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&WorkStealingStats::injection_pops);
       return node;
     case TaskList::Pop::kEmpty:
       injection_missed();
@@ -150,7 +149,7 @@ WorkStealingExecutor::Took WorkStealingExecutor::take_node(int self,
   //    captures still in this core's cache).
   if (self >= 0) {
     if (workers_[static_cast<std::size_t>(self)]->deque.pop_bottom(out)) {
-      local_pops_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&WorkStealingStats::local_pops);
       return Took::kOwnDeque;
     }
   }
@@ -177,7 +176,7 @@ WorkStealingExecutor::Took WorkStealingExecutor::take_node(int self,
     for (;;) {
       const Steal result = victim.steal_top(out);
       if (result == Steal::kSuccess) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(&WorkStealingStats::steals);
         return Took::kElsewhere;
       }
       if (result == Steal::kEmpty) break;
@@ -237,7 +236,7 @@ bool WorkStealingExecutor::notify_marked() noexcept {
   // Lost the race for the mark: that waker's wake covers this one.
   if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return true;
   if (idle_.notify_one()) {
-    wakes_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(&WorkStealingStats::wakes);
     return true;
   }
   // The waiter seen by the caller left before the notify, so no exit will
@@ -255,7 +254,7 @@ void WorkStealingExecutor::cancel_idle() noexcept {
 }
 
 void WorkStealingExecutor::left_idle() noexcept {
-  idle_exits_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&WorkStealingStats::idle_exits);
   wake_pending_.store(false, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
 }
@@ -304,21 +303,7 @@ void WorkStealingExecutor::shutdown() {
     }
   }
 
-  auto& tracer = common::Tracer::instance();
-  const std::string prefix(name());
-  tracer.set_counter(prefix + ".local_pops",
-                     local_pops_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".steals",
-                     steals_.load(std::memory_order_relaxed));
-  if (!pin_cpus_.empty()) {
-    tracer.set_counter(prefix + ".pinned_workers",
-                       pinned_workers_.load(std::memory_order_relaxed));
-  }
-  tracer.set_counter(prefix + ".injection_pops",
-                     injection_pops_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".wakes", wakes());
-  tracer.set_counter(prefix + ".batch_posts",
-                     batch_posts_.load(std::memory_order_relaxed));
+  counters_.publish(name());
 }
 
 namespace {
@@ -342,7 +327,7 @@ void WorkStealingExecutor::worker_main(int index) {
     const int cpu =
         pin_cpus_[static_cast<std::size_t>(index) % pin_cpus_.size()];
     if (pin_current_thread(cpu)) {
-      pinned_workers_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&WorkStealingStats::pinned_workers);
     }
   }
   TaskNode* node = nullptr;

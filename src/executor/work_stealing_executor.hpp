@@ -57,12 +57,42 @@
 #include <vector>
 
 #include "common/chase_lev_deque.hpp"
+#include "common/counters.hpp"
 #include "common/event_count.hpp"
 #include "common/rng.hpp"
 #include "executor/executor.hpp"
 #include "executor/task_node.hpp"
 
 namespace evmp::exec {
+
+/// The stealing pool's counters (relaxed; observability only), published
+/// at shutdown as "<pool>.<name>".
+struct WorkStealingStats {
+  std::uint64_t local_pops = 0;  ///< run from the owner's deque (LIFO)
+  std::uint64_t steals = 0;      ///< stolen from a peer's deque
+  /// Taken from the foreign-submission injection list.
+  std::uint64_t injection_pops = 0;
+  /// Notifies that reached a counted waiter of the parking event count
+  /// (futex wakes issued for single tasks; post_batch and shutdown wake
+  /// all waiters and are not counted).
+  std::uint64_t wakes = 0;
+  /// Exits from the event count's waiter set (commit or cancel). At most
+  /// one wake is in flight, so wakes <= idle_exits + 1.
+  std::uint64_t idle_exits = 0;
+  std::uint64_t batch_posts = 0;  ///< post_batch() calls accepted
+  /// Workers successfully pinned to their CPU (0 unless EVMP_PIN=1).
+  std::uint64_t pinned_workers = 0;
+
+  static constexpr common::CounterField<WorkStealingStats> kFields[] = {
+      {"local_pops", &WorkStealingStats::local_pops},
+      {"steals", &WorkStealingStats::steals},
+      {"injection_pops", &WorkStealingStats::injection_pops},
+      {"wakes", &WorkStealingStats::wakes},
+      {"idle_exits", &WorkStealingStats::idle_exits},
+      {"batch_posts", &WorkStealingStats::batch_posts},
+      {"pinned_workers", &WorkStealingStats::pinned_workers},
+  };
+};
 
 /// Fixed-size pool with per-worker lock-free Chase–Lev deques, a lock-free
 /// injection list for foreign submissions, random-start stealing and
@@ -84,34 +114,28 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::size_t pending() const override;
 
   /// Stop accepting tasks, drain all queues, and join. Idempotent.
-  /// Publishes pop/steal/injection/batch counters to common::Tracer.
+  /// Publishes the WorkStealingStats counters to common::Tracer.
   void shutdown();
 
-  /// Tasks executed from the owning worker's deque (LIFO pops).
+  [[nodiscard]] WorkStealingStats stats() const noexcept {
+    return counters_.snapshot();
+  }
+  // Single counters of stats(), read by name.
   [[nodiscard]] std::uint64_t local_pops() const noexcept {
-    return local_pops_.load(std::memory_order_relaxed);
+    return stats().local_pops;
   }
-  /// Tasks stolen from another worker's deque.
   [[nodiscard]] std::uint64_t steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
+    return stats().steals;
   }
-  /// Notifies that reached a counted waiter of the parking event count
-  /// (futex wakes issued for single tasks; post_batch and shutdown wake
-  /// all waiters and are not counted).
-  [[nodiscard]] std::uint64_t wakes() const noexcept {
-    return wakes_.load(std::memory_order_relaxed);
-  }
-  /// Tasks taken from the foreign-submission injection list.
+  [[nodiscard]] std::uint64_t wakes() const noexcept { return stats().wakes; }
   [[nodiscard]] std::uint64_t injection_pops() const noexcept {
-    return injection_pops_.load(std::memory_order_relaxed);
+    return stats().injection_pops;
   }
-  /// post_batch() calls accepted.
   [[nodiscard]] std::uint64_t batch_posts() const noexcept {
-    return batch_posts_.load(std::memory_order_relaxed);
+    return stats().batch_posts;
   }
-  /// Workers successfully pinned to their CPU (0 unless EVMP_PIN=1).
   [[nodiscard]] std::uint64_t pinned_workers() const noexcept {
-    return pinned_workers_.load(std::memory_order_relaxed);
+    return stats().pinned_workers;
   }
 
  private:
@@ -191,13 +215,7 @@ class WorkStealingExecutor final : public Executor {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shut_down_{false};
   std::atomic<std::uint64_t> next_victim_{0};
-  std::atomic<std::uint64_t> local_pops_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> injection_pops_{0};
-  std::atomic<std::uint64_t> wakes_{0};
-  std::atomic<std::uint64_t> idle_exits_{0};  ///< left_idle() calls
-  std::atomic<std::uint64_t> batch_posts_{0};
-  std::atomic<std::uint64_t> pinned_workers_{0};
+  common::Counters<WorkStealingStats> counters_;
   std::vector<std::jthread> threads_;  // last: start after queues exist
 };
 

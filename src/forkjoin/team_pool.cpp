@@ -1,10 +1,7 @@
 #include "forkjoin/team_pool.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
-
-#include "common/tracing.hpp"
 
 namespace evmp::fj {
 
@@ -18,13 +15,13 @@ TeamPool& TeamPool::instance() {
 
 TeamPool::Lease TeamPool::lease(int width) {
   if (width < 1) width = 1;
-  leases_granted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&TeamPoolStats::leases_granted);
   governor_.on_lease();  // every lease is a running region: a load signal
   Bucket& bucket = bucket_for(width);
   {
     std::unique_lock lk(bucket.mu, std::try_to_lock);
     if (!lk.owns_lock()) {
-      lease_contentions_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&TeamPoolStats::lease_contentions);
       lk.lock();
     }
     // Direct-mapped buckets hold one width; the overflow bucket (> 64)
@@ -52,7 +49,7 @@ TeamPool::Lease TeamPool::lease(int width) {
   // Miss: construct outside the lock (Team's constructor spawns helper
   // threads; holding the bucket lock across that would serialise every
   // concurrent first-touch lease of this width).
-  teams_created_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&TeamPoolStats::teams_created);
   return Lease(this, std::make_unique<Team>(width));
 }
 
@@ -98,21 +95,26 @@ void TeamPool::trim(std::size_t floor) {
   // Teams (and their helper-thread joins) die outside the locks.
 }
 
+namespace {
+/// The pool's gauges, read at publish time (they also fall, so they are
+/// not Counters fields).
+struct TeamPoolGauges {
+  std::uint64_t leased_high_water = 0;
+  std::uint64_t idle_teams = 0;
+
+  static constexpr common::CounterField<TeamPoolGauges> kFields[] = {
+      {"leased_high_water", &TeamPoolGauges::leased_high_water},
+      {"idle_teams", &TeamPoolGauges::idle_teams},
+  };
+};
+}  // namespace
+
 void TeamPool::publish_counters(std::string_view prefix) const {
-  auto& tracer = common::Tracer::instance();
-  const std::string base(prefix);
-  tracer.set_counter(base + ".teams_created",
-                     teams_created_.load(std::memory_order_relaxed));
-  tracer.set_counter(base + ".leases_granted",
-                     leases_granted_.load(std::memory_order_relaxed));
-  tracer.set_counter(base + ".lease_contentions",
-                     lease_contentions_.load(std::memory_order_relaxed));
-  tracer.set_counter(base + ".leased_high_water",
-                     static_cast<std::uint64_t>(
-                         std::max(0, governor_.high_water())));
-  tracer.set_counter(base + ".idle_teams",
-                     idle_total_.load(std::memory_order_relaxed));
-  governor_.publish_counters(base);
+  counters_.publish(prefix);
+  common::Counters<TeamPoolGauges>::publish(
+      prefix, {static_cast<std::uint64_t>(std::max(0, leased_high_water())),
+               idle_count()});
+  governor_.publish_counters(prefix);
 }
 
 }  // namespace evmp::fj

@@ -45,10 +45,29 @@
 #include <string_view>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "forkjoin/team.hpp"
 #include "forkjoin/width_governor.hpp"
 
 namespace evmp::fj {
+
+/// TeamPool's lease counters (relaxed), published by publish_counters().
+struct TeamPoolStats {
+  /// Teams ever constructed (flat under steady request load — the pooled
+  /// Figure 9 series).
+  std::uint64_t teams_created = 0;
+  std::uint64_t leases_granted = 0;  ///< cache hits + misses
+  /// lease() calls that found their width bucket's lock held by a
+  /// concurrent lease/return (the serialisation the bucketing removes
+  /// relative to the old single-mutex cache).
+  std::uint64_t lease_contentions = 0;
+
+  static constexpr common::CounterField<TeamPoolStats> kFields[] = {
+      {"teams_created", &TeamPoolStats::teams_created},
+      {"leases_granted", &TeamPoolStats::leases_granted},
+      {"lease_contentions", &TeamPoolStats::lease_contentions},
+  };
+};
 
 /// Process-wide lease pool of reusable fork-join teams, keyed by width.
 class TeamPool {
@@ -117,20 +136,15 @@ class TeamPool {
   /// budget; tests read its histograms).
   [[nodiscard]] WidthGovernor& governor() noexcept { return governor_; }
 
-  /// Teams ever constructed by this pool (flat under steady request load —
-  /// the pooled Figure 9 series).
+  // Single counters of TeamPoolStats, read by name.
   [[nodiscard]] std::uint64_t teams_created() const noexcept {
-    return teams_created_.load(std::memory_order_relaxed);
+    return counters_.snapshot().teams_created;
   }
-  /// Leases ever granted (cache hits + misses).
   [[nodiscard]] std::uint64_t leases_granted() const noexcept {
-    return leases_granted_.load(std::memory_order_relaxed);
+    return counters_.snapshot().leases_granted;
   }
-  /// lease() calls that found their width bucket's lock held by a
-  /// concurrent lease/return (the serialisation the bucketing removes
-  /// relative to the old single-mutex cache).
   [[nodiscard]] std::uint64_t lease_contentions() const noexcept {
-    return lease_contentions_.load(std::memory_order_relaxed);
+    return counters_.snapshot().lease_contentions;
   }
   /// Teams currently out on lease.
   [[nodiscard]] int active_leases() const noexcept {
@@ -144,8 +158,6 @@ class TeamPool {
   [[nodiscard]] std::size_t idle_count() const noexcept {
     return idle_total_.load(std::memory_order_relaxed);
   }
-  /// Deprecated spelling of idle_count().
-  [[nodiscard]] std::size_t cached() const { return idle_count(); }
 
   /// Release idle cached teams until at most `floor` remain parked
   /// (destroying a team joins its helper threads). Teams out on lease are
@@ -180,9 +192,7 @@ class TeamPool {
 
   std::array<Bucket, static_cast<std::size_t>(kMaxBucketWidth) + 1> buckets_;
   std::atomic<std::size_t> idle_total_{0};
-  std::atomic<std::uint64_t> teams_created_{0};
-  std::atomic<std::uint64_t> leases_granted_{0};
-  std::atomic<std::uint64_t> lease_contentions_{0};
+  common::Counters<TeamPoolStats> counters_;
   WidthGovernor governor_;
 };
 

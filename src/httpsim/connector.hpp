@@ -32,8 +32,8 @@ class Connector {
 
   /// Accept a burst of pipelined requests from one client; `on_done` fires
   /// once per request. Connectors that can, admit the whole burst into
-  /// their run queue under a single lock (Executor::post_batch); the
-  /// default degrades to per-request submit(). Thread-safe.
+  /// their run list as one chain (Executor::post_batch); the default
+  /// degrades to per-request submit(). Thread-safe.
   virtual void submit_batch(std::vector<Request> requests,
                             ResponseCallback on_done) {
     for (auto& request : requests) {
@@ -78,7 +78,7 @@ class PyjamaConnector final : public Connector {
 
   void submit(Request request, ResponseCallback on_done) override;
   /// One dispatcher event for the whole burst; the dispatcher offloads it
-  /// to the worker target as a single nowait batch (one shard lock, one
+  /// to the worker target as a single nowait batch (one chain splice, one
   /// wakeup) instead of per-request posts.
   void submit_batch(std::vector<Request> requests,
                     ResponseCallback on_done) override;

@@ -93,7 +93,7 @@ bool Reactor::try_run_one() {
 void Reactor::run_node(exec::TaskNode* node) {
   exec::Task task = exec::unwrap(node);
   run_task(task);
-  tasks_run_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&ReactorStats::tasks_run);
 }
 
 bool Reactor::add_fd(int fd, bool want_read, bool want_write,
@@ -126,12 +126,12 @@ void Reactor::add_timer(common::Nanos delay, exec::Task cb) {
   if (!owns_current_thread()) {
     post(exec::Task([this, deadline, cb = std::move(cb)]() mutable {
       timers_.push(deadline, std::move(cb));
-      timers_scheduled_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&ReactorStats::timers_scheduled);
     }));
     return;
   }
   timers_.push(deadline, std::move(cb));
-  timers_scheduled_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&ReactorStats::timers_scheduled);
 }
 
 void Reactor::fire_due_timers() {
@@ -145,7 +145,7 @@ void Reactor::fire_due_timers() {
     std::optional<exec::Task> task = timers_.pop_due(sweep_start);
     if (!task) break;
     run_task(*task);
-    timers_fired_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&ReactorStats::timers_fired);
   }
 }
 
@@ -155,17 +155,6 @@ int Reactor::timer_wait_ms() const noexcept {
   if (gap <= common::Nanos{0}) return 0;
   const auto ms = (gap + common::Nanos{999'999}) / common::Nanos{1'000'000};
   return static_cast<int>(std::min<std::int64_t>(ms, 60'000));
-}
-
-ReactorStats Reactor::stats() const noexcept {
-  ReactorStats s;
-  s.epoll_waits = epoll_waits_.load(std::memory_order_relaxed);
-  s.fd_events = fd_events_.load(std::memory_order_relaxed);
-  s.wakeups = wakeups_.load(std::memory_order_relaxed);
-  s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  s.timers_scheduled = timers_scheduled_.load(std::memory_order_relaxed);
-  s.timers_fired = timers_fired_.load(std::memory_order_relaxed);
-  return s;
 }
 
 void Reactor::wake() {
@@ -202,7 +191,7 @@ void Reactor::run() {
                     << errno;
       break;
     }
-    epoll_waits_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&ReactorStats::epoll_waits);
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == nullptr) {
         std::uint64_t value = 0;
@@ -212,10 +201,10 @@ void Reactor::run() {
         // flag still set linked its task before its exchange, and this
         // RMW reads from that exchange, so the drain sees the task.
         wake_pending_.exchange(false);
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(&ReactorStats::wakeups);
         continue;
       }
-      fd_events_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&ReactorStats::fd_events);
       auto* handler = static_cast<FdHandler*>(events[i].data.ptr);
       const std::uint32_t ev = events[i].events;
       if ((ev & (EPOLLERR | EPOLLHUP)) != 0) {

@@ -27,6 +27,7 @@
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/counters.hpp"
 #include "common/deadline_heap.hpp"
 #include "executor/executor.hpp"
 #include "executor/task_node.hpp"
@@ -34,7 +35,8 @@
 
 namespace evmp::net {
 
-/// Counters published by the reactor (relaxed; observability only).
+/// The reactor's counters (relaxed; observability only). net::Server
+/// publishes them as "<name>.reactor.<field>".
 struct ReactorStats {
   std::uint64_t epoll_waits = 0;       ///< epoll_wait returns
   std::uint64_t fd_events = 0;         ///< readiness events delivered
@@ -42,6 +44,15 @@ struct ReactorStats {
   std::uint64_t tasks_run = 0;         ///< posted tasks executed
   std::uint64_t timers_scheduled = 0;  ///< add_timer() insertions
   std::uint64_t timers_fired = 0;      ///< timer callbacks executed
+
+  static constexpr common::CounterField<ReactorStats> kFields[] = {
+      {"epoll_waits", &ReactorStats::epoll_waits},
+      {"fd_events", &ReactorStats::fd_events},
+      {"wakeups", &ReactorStats::wakeups},
+      {"tasks_run", &ReactorStats::tasks_run},
+      {"timers_scheduled", &ReactorStats::timers_scheduled},
+      {"timers_fired", &ReactorStats::timers_fired},
+  };
 };
 
 /// Single-threaded edge-triggered epoll loop with a deadline-heap timer,
@@ -124,7 +135,9 @@ class Reactor final : public exec::Executor {
   /// state when it fires (see Server's idle timeout).
   void add_timer(common::Nanos delay, exec::Task cb);
 
-  [[nodiscard]] ReactorStats stats() const noexcept;
+  [[nodiscard]] ReactorStats stats() const noexcept {
+    return stats_.snapshot();
+  }
 
  private:
   void run();
@@ -148,12 +161,7 @@ class Reactor final : public exec::Executor {
 
   common::DeadlineHeap<exec::Task> timers_;  ///< reactor-thread confined
 
-  std::atomic<std::uint64_t> epoll_waits_{0};
-  std::atomic<std::uint64_t> fd_events_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> tasks_run_{0};
-  std::atomic<std::uint64_t> timers_scheduled_{0};
-  std::atomic<std::uint64_t> timers_fired_{0};
+  common::Counters<ReactorStats> stats_;
 
   std::jthread thread_;
 };

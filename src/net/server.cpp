@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/tracing.hpp"
 #include "core/async_mode.hpp"
 #include "net/http.hpp"
 
@@ -41,8 +40,8 @@ struct Connection : Reactor::FdHandler {
       const ssize_t n = ::read(fd.get(), in_buf.data() + old, kReadChunk);
       if (n > 0) {
         in_buf.resize(old + static_cast<std::size_t>(n));
-        srv.stats_.bytes_received.fetch_add(static_cast<std::uint64_t>(n),
-                                            std::memory_order_relaxed);
+        srv.stats_.add(&ServerStats::bytes_received,
+                       static_cast<std::uint64_t>(n));
         last_activity = common::now();
         continue;  // edge-triggered: drain until EAGAIN or EOF
       }
@@ -71,11 +70,11 @@ struct Connection : Reactor::FdHandler {
           &req);
       if (st == ParseStatus::kNeedMore) break;
       if (st == ParseStatus::kError) {
-        srv.stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        srv.stats_.add(&ServerStats::protocol_errors);
         close_now();
         break;
       }
-      srv.stats_.requests_received.fetch_add(1, std::memory_order_relaxed);
+      srv.stats_.add(&ServerStats::requests_received);
       // Copy the body out before the buffer is compacted below.
       std::vector<std::uint8_t> payload(req.body.begin(), req.body.end());
       const bool keep_alive = req.keep_alive;
@@ -102,8 +101,8 @@ struct Connection : Reactor::FdHandler {
                                out_buf.size() - out_off, MSG_NOSIGNAL);
       if (n > 0) {
         out_off += static_cast<std::size_t>(n);
-        srv.stats_.bytes_sent.fetch_add(static_cast<std::uint64_t>(n),
-                                        std::memory_order_relaxed);
+        srv.stats_.add(&ServerStats::bytes_sent,
+                       static_cast<std::uint64_t>(n));
         last_activity = common::now();
         continue;
       }
@@ -141,7 +140,7 @@ struct Connection : Reactor::FdHandler {
     closed = true;
     srv.reactor_.del_fd(fd.get());
     fd.reset();
-    srv.stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+    srv.stats_.add(&ServerStats::connections_closed);
     srv.defer_destroy(cid);
   }
 
@@ -186,8 +185,7 @@ class Server::Acceptor : public Reactor::FdHandler {
       auto conn = std::make_unique<Connection>(srv_, cid, Fd(fd));
       Connection* raw = conn.get();
       srv_.conns_.emplace(cid, std::move(conn));
-      srv_.stats_.connections_accepted.fetch_add(1,
-                                                 std::memory_order_relaxed);
+      srv_.stats_.add(&ServerStats::connections_accepted);
       if (!srv_.reactor_.add_fd(raw->fd.get(), true, false, raw)) {
         raw->close_now();
         continue;
@@ -260,7 +258,9 @@ void Server::stop() {
   reactor_.stop();
   conns_.clear();
   rt_.unregister(cfg_.name);
-  publish_counters();
+  stats_.publish(cfg_.name);
+  common::Counters<ReactorStats>::publish(cfg_.name + ".reactor",
+                                         reactor_.stats());
 }
 
 // Reactor thread. Admission control happens here — *before* the request
@@ -274,13 +274,13 @@ void Server::on_request(Connection& conn, std::uint64_t id, bool keep_alive,
   if (shedding_.load(std::memory_order_relaxed) || target_deep) {
     // Shed: answer 503 immediately from the reactor thread. The
     // connection stays open; the client decides whether to back off.
-    stats_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&ServerStats::requests_shed);
     std::vector<std::uint8_t> wire;
     encode_http_response(wire, kStatusShed, id, 0, {});
     conn.queue_response(wire);
     return;
   }
-  stats_.requests_admitted.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&ServerStats::requests_admitted);
   conn.inflight++;
   update_admission_on_admit();
   const std::uint64_t cid = conn.cid;
@@ -314,7 +314,7 @@ void Server::handle_on_worker(std::uint64_t cid, std::uint64_t id,
     } catch (...) {
       // Swallowed so the response still goes out, complete() still drops
       // the in-flight counts, and stop()'s wait_tag has nothing to rethrow.
-      stats_.handler_errors.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&ServerStats::handler_errors);
     }
     encode_http_response(wire, resp.ok ? kStatusOk : 500, id, resp.checksum,
                          {});
@@ -330,12 +330,12 @@ void Server::complete(std::uint64_t cid, std::vector<std::uint8_t> wire) {
   update_admission_on_complete();
   const auto it = conns_.find(cid);
   if (it == conns_.end() || !it->second || it->second->closed) {
-    stats_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&ServerStats::responses_dropped);
     return;
   }
   Connection& conn = *it->second;
   conn.inflight--;
-  stats_.responses_sent.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&ServerStats::responses_sent);
   conn.queue_response(wire);
   if (conn.done_reading() && !conn.closed && conn.inflight == 0 &&
       conn.out_buf.size() == conn.out_off) {
@@ -361,7 +361,7 @@ void Server::update_admission_on_admit() {
   if (!shedding_.load(std::memory_order_relaxed) &&
       now_inflight >= cfg_.high_watermark) {
     shedding_.store(true, std::memory_order_relaxed);
-    stats_.shed_entries.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&ServerStats::shed_entries);
     close_accept_gate();
   }
 }
@@ -381,7 +381,7 @@ void Server::close_accept_gate() {
   reactor_.del_fd(listen_.get());
   accepting_ = false;
   accept_gated_ = true;
-  stats_.accept_gate_closes.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&ServerStats::accept_gate_closes);
 }
 
 void Server::maybe_open_accept_gate() {
@@ -412,65 +412,12 @@ void Server::arm_idle_timer(Connection& conn) {
     Connection& c = *it->second;
     const common::Nanos idle = common::now() - c.last_activity;
     if (idle >= cfg_.idle_timeout && c.inflight == 0) {
-      stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&ServerStats::idle_closed);
       c.close_now();
       return;
     }
     arm_idle_timer(c);
   }));
-}
-
-ServerStats Server::stats() const noexcept {
-  ServerStats s;
-  s.connections_accepted =
-      stats_.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_closed =
-      stats_.connections_closed.load(std::memory_order_relaxed);
-  s.requests_received =
-      stats_.requests_received.load(std::memory_order_relaxed);
-  s.requests_admitted =
-      stats_.requests_admitted.load(std::memory_order_relaxed);
-  s.requests_shed = stats_.requests_shed.load(std::memory_order_relaxed);
-  s.responses_sent = stats_.responses_sent.load(std::memory_order_relaxed);
-  s.responses_dropped =
-      stats_.responses_dropped.load(std::memory_order_relaxed);
-  s.protocol_errors =
-      stats_.protocol_errors.load(std::memory_order_relaxed);
-  s.handler_errors = stats_.handler_errors.load(std::memory_order_relaxed);
-  s.idle_closed = stats_.idle_closed.load(std::memory_order_relaxed);
-  s.shed_entries = stats_.shed_entries.load(std::memory_order_relaxed);
-  s.accept_gate_closes =
-      stats_.accept_gate_closes.load(std::memory_order_relaxed);
-  s.bytes_received = stats_.bytes_received.load(std::memory_order_relaxed);
-  s.bytes_sent = stats_.bytes_sent.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Server::publish_counters() const {
-  auto& tracer = common::Tracer::instance();
-  const ServerStats s = stats();
-  const std::string p = cfg_.name + ".";
-  tracer.set_counter(p + "connections_accepted", s.connections_accepted);
-  tracer.set_counter(p + "connections_closed", s.connections_closed);
-  tracer.set_counter(p + "requests_received", s.requests_received);
-  tracer.set_counter(p + "requests_admitted", s.requests_admitted);
-  tracer.set_counter(p + "requests_shed", s.requests_shed);
-  tracer.set_counter(p + "responses_sent", s.responses_sent);
-  tracer.set_counter(p + "responses_dropped", s.responses_dropped);
-  tracer.set_counter(p + "protocol_errors", s.protocol_errors);
-  tracer.set_counter(p + "handler_errors", s.handler_errors);
-  tracer.set_counter(p + "idle_closed", s.idle_closed);
-  tracer.set_counter(p + "shed_entries", s.shed_entries);
-  tracer.set_counter(p + "accept_gate_closes", s.accept_gate_closes);
-  tracer.set_counter(p + "bytes_received", s.bytes_received);
-  tracer.set_counter(p + "bytes_sent", s.bytes_sent);
-  const ReactorStats r = reactor_.stats();
-  tracer.set_counter(p + "reactor.epoll_waits", r.epoll_waits);
-  tracer.set_counter(p + "reactor.fd_events", r.fd_events);
-  tracer.set_counter(p + "reactor.wakeups", r.wakeups);
-  tracer.set_counter(p + "reactor.tasks_run", r.tasks_run);
-  tracer.set_counter(p + "reactor.timers_scheduled", r.timers_scheduled);
-  tracer.set_counter(p + "reactor.timers_fired", r.timers_fired);
 }
 
 }  // namespace evmp::net

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/counters.hpp"
 #include "core/runtime.hpp"
 #include "httpsim/request.hpp"
 #include "net/reactor.hpp"
@@ -45,7 +46,8 @@ namespace evmp::net {
 
 struct Connection;  // per-socket state; reactor-thread only (server.cpp)
 
-/// Counter snapshot (relaxed atomics; monotone while running).
+/// Counter snapshot (relaxed; monotone while running). stop() publishes
+/// each field as "<name>.<field>".
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -61,6 +63,23 @@ struct ServerStats {
   std::uint64_t accept_gate_closes = 0;  ///< times the gate shut
   std::uint64_t bytes_received = 0;
   std::uint64_t bytes_sent = 0;
+
+  static constexpr common::CounterField<ServerStats> kFields[] = {
+      {"connections_accepted", &ServerStats::connections_accepted},
+      {"connections_closed", &ServerStats::connections_closed},
+      {"requests_received", &ServerStats::requests_received},
+      {"requests_admitted", &ServerStats::requests_admitted},
+      {"requests_shed", &ServerStats::requests_shed},
+      {"responses_sent", &ServerStats::responses_sent},
+      {"responses_dropped", &ServerStats::responses_dropped},
+      {"protocol_errors", &ServerStats::protocol_errors},
+      {"handler_errors", &ServerStats::handler_errors},
+      {"idle_closed", &ServerStats::idle_closed},
+      {"shed_entries", &ServerStats::shed_entries},
+      {"accept_gate_closes", &ServerStats::accept_gate_closes},
+      {"bytes_received", &ServerStats::bytes_received},
+      {"bytes_sent", &ServerStats::bytes_sent},
+  };
 };
 
 /// The loopback request/response server.
@@ -85,8 +104,8 @@ class Server {
     std::size_t high_watermark = 4096;
     std::size_t low_watermark = 3072;
     /// Bound on the target executor's queued-task depth at admission time
-    /// (0 = off). This is the backpressure seam onto the sharded
-    /// injection queues: depth beyond the bound sheds instead of queueing.
+    /// (0 = off), read from Executor::pending(): depth beyond the bound
+    /// sheds instead of queueing.
     std::size_t max_target_depth = 0;
     /// Connection-table bound (0 = off). At the bound the accept gate
     /// closes until a connection dies.
@@ -117,15 +136,13 @@ class Server {
   /// The bound port (valid after start()).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  [[nodiscard]] ServerStats stats() const noexcept;
+  [[nodiscard]] ServerStats stats() const noexcept {
+    return stats_.snapshot();
+  }
   [[nodiscard]] Reactor& reactor() noexcept { return reactor_; }
   [[nodiscard]] bool shedding() const noexcept {
     return shedding_.load(std::memory_order_relaxed);
   }
-
-  /// Export the counters as "<name>.<counter>" through common::Tracer
-  /// (also called by stop()).
-  void publish_counters() const;
 
  private:
   friend struct Connection;
@@ -166,23 +183,7 @@ class Server {
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<bool> shedding_{false};
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_closed{0};
-    std::atomic<std::uint64_t> requests_received{0};
-    std::atomic<std::uint64_t> requests_admitted{0};
-    std::atomic<std::uint64_t> requests_shed{0};
-    std::atomic<std::uint64_t> responses_sent{0};
-    std::atomic<std::uint64_t> responses_dropped{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> handler_errors{0};
-    std::atomic<std::uint64_t> idle_closed{0};
-    std::atomic<std::uint64_t> shed_entries{0};
-    std::atomic<std::uint64_t> accept_gate_closes{0};
-    std::atomic<std::uint64_t> bytes_received{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-  };
-  AtomicStats stats_;
+  common::Counters<ServerStats> stats_;
 };
 
 }  // namespace evmp::net

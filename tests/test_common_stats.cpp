@@ -1,5 +1,5 @@
-// Unit tests for common/stats, common/table, common/rng, common/env,
-// common/cli and common/clock.
+// Unit tests for common/stats, common/counters, common/table, common/rng,
+// common/env, common/cli and common/clock.
 
 #include <gtest/gtest.h>
 
@@ -7,13 +7,17 @@
 #include <cstdlib>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/clock.hpp"
+#include "common/counters.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/tracing.hpp"
 
 namespace evmp::common {
 namespace {
@@ -241,6 +245,97 @@ TEST(LatencyHistogram, ResetClears) {
   h.reset();
   EXPECT_EQ(h.total_count(), 0u);
   EXPECT_DOUBLE_EQ(h.mean_ns(), 0.0);
+}
+
+TEST(LatencyHistogram, ZeroQuantileLandsOnTheLowestSample) {
+  // Rank 0 must land in the first non-empty bucket, not in bucket 0.
+  LatencyHistogram h;
+  h.record(5'000'000);  // 5 ms
+  EXPECT_GE(h.percentile(0.0), 4'000'000u);
+  EXPECT_EQ(h.percentile(0.0), h.snapshot().percentile(0.0));
+}
+
+// A counter group as the runtime's snapshot structs declare one.
+struct DemoStats {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+  std::uint64_t peak = 0;
+
+  static constexpr CounterField<DemoStats> kFields[] = {
+      {"a", &DemoStats::a},
+      {"b", &DemoStats::b},
+      {"c", &DemoStats::c},
+      {"peak", &DemoStats::peak},
+  };
+};
+
+TEST(Counters, EachFieldReadsAndPublishesItsOwnValue) {
+  // Distinct amounts per field: an entry naming the wrong member, or a walk
+  // that skips or repeats one, reads a different number.
+  Counters<DemoStats> counters;
+  counters.add(&DemoStats::a);
+  counters.add(&DemoStats::b, 20);
+  counters.add(&DemoStats::c, 300);
+  counters.add(&DemoStats::c, 4000);
+  counters.raise(&DemoStats::peak, 50000);
+  const DemoStats s = counters.snapshot();
+  EXPECT_EQ(s.a, 1u);
+  EXPECT_EQ(s.b, 20u);
+  EXPECT_EQ(s.c, 4300u);
+  EXPECT_EQ(s.peak, 50000u);
+
+  counters.publish("counters_demo");
+  const auto rows = Tracer::instance().counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"counters_demo.a", 1},
+      {"counters_demo.b", 20},
+      {"counters_demo.c", 4300},
+      {"counters_demo.peak", 50000},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
+
+  counters.reset();
+  const DemoStats zero = counters.snapshot();
+  EXPECT_EQ(zero.a + zero.b + zero.c + zero.peak, 0u);
+}
+
+TEST(Counters, ConcurrentAddsLoseNothingAndRaiseKeepsTheMaximum) {
+  Counters<DemoStats> counters;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20'000;
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&counters, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          counters.add(&DemoStats::a);
+          counters.add(&DemoStats::b, 2);
+          counters.raise(&DemoStats::peak,
+                         static_cast<std::uint64_t>(t * kPerThread + i));
+        }
+      });
+    }
+    // A reader racing the writers sees monotone values.
+    std::uint64_t last = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t now = counters.snapshot().a;
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  }
+  const DemoStats s = counters.snapshot();
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(s.a, kTotal);
+  EXPECT_EQ(s.b, 2 * kTotal);
+  EXPECT_EQ(s.c, 0u);
+  EXPECT_EQ(s.peak, kTotal - 1);
+  counters.raise(&DemoStats::peak, 7);  // lower: no change
+  EXPECT_EQ(counters.snapshot().peak, kTotal - 1);
 }
 
 TEST(TextTable, AlignsAndPrints) {

@@ -6,10 +6,12 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/sync.hpp"
+#include "common/tracing.hpp"
 #include "event/event_loop.hpp"
 #include "event/load.hpp"
 #include "executor/thread_pool_executor.hpp"
@@ -454,6 +456,28 @@ TEST(OpenLoopDriver, PoissonArrivalsStillCountEverything) {
       [](std::size_t, const CompletionToken& token) { token.complete(); });
   EXPECT_TRUE(result.all_completed);
   EXPECT_EQ(result.completed, 30u);
+}
+
+TEST(EventLoop, StopPublishesCounters) {
+  EventLoop loop("publish_edt");
+  loop.start();
+  for (int i = 0; i < 5; ++i) loop.post([] {});
+  std::vector<exec::Task> batch;
+  for (int i = 0; i < 3; ++i) batch.emplace_back([] {});
+  loop.post_batch(batch);
+  loop.wait_until_idle();
+  loop.stop();
+  EXPECT_EQ(loop.dispatched(), 8u);
+  const auto rows = common::Tracer::instance().counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"publish_edt.dispatched", loop.dispatched()},
+      {"publish_edt.batch_posts", loop.batch_posts()},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
 }
 
 }  // namespace

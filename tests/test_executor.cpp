@@ -9,9 +9,12 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/sync.hpp"
+#include "common/tracing.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
 #include "executor/simulated_device.hpp"
@@ -417,6 +420,35 @@ TEST(SimulatedDevice, TransferTakesModeledTime) {
   const common::Stopwatch sw;
   dev.transfer_to_device(10'000);
   EXPECT_GE(sw.elapsed_ms(), 8.0);
+}
+
+TEST(ThreadPool, ShutdownPublishesQueueCounters) {
+  // Every published row must read what queue_stats() reads after the join.
+  ThreadPoolExecutor pool("publish_pool", 2);
+  common::CountdownLatch latch(10 + 16);
+  for (int i = 0; i < 10; ++i) pool.post([&] { latch.count_down(); });
+  std::vector<Task> tasks;
+  for (int i = 0; i < 16; ++i) tasks.emplace_back([&] { latch.count_down(); });
+  pool.post_batch(tasks);
+  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
+  pool.shutdown();
+  const auto s = pool.queue_stats();
+  EXPECT_EQ(s.pushes, 10u);
+  EXPECT_EQ(s.batch_pushes, 1u);
+  EXPECT_EQ(s.batch_items, 16u);
+  const auto rows = common::Tracer::instance().counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"publish_pool.posts", s.pushes},
+      {"publish_pool.batch_posts", s.batch_pushes},
+      {"publish_pool.batch_items", s.batch_items},
+      {"publish_pool.collisions", s.collisions},
+      {"publish_pool.max_depth", s.max_depth},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
 }
 
 }  // namespace

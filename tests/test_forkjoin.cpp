@@ -9,8 +9,10 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/tracing.hpp"
 #include "forkjoin/parallel_for.hpp"
 #include "forkjoin/team.hpp"
 #include "forkjoin/team_pool.hpp"
@@ -310,10 +312,10 @@ TEST(TeamPool, LeaseReusesReturnedTeams) {
     lease->parallel([&](int, int) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 3);
   }  // team returns to the pool here
-  EXPECT_EQ(pool.cached(), 1u);
+  EXPECT_EQ(pool.idle_count(), 1u);
   {
     auto lease = pool.lease(3);
-    EXPECT_EQ(pool.cached(), 0u);  // cache hit, not a new team
+    EXPECT_EQ(pool.idle_count(), 0u);  // cache hit, not a new team
   }
   EXPECT_EQ(pool.teams_created(), created_before + 1);
   EXPECT_EQ(pool.leases_granted(), 2u);
@@ -365,15 +367,42 @@ TEST(TeamPool, PooledRegionsKeepHelperCreationFlat) {
 TEST(TeamPool, ClearDropsIdleTeams) {
   TeamPool pool;
   { auto lease = pool.lease(2); }
-  EXPECT_EQ(pool.cached(), 1u);
+  EXPECT_EQ(pool.idle_count(), 1u);
   pool.clear();
-  EXPECT_EQ(pool.cached(), 0u);
+  EXPECT_EQ(pool.idle_count(), 0u);
 }
 
 TEST(TeamPool, InstanceIsProcessWide) {
   auto& a = TeamPool::instance();
   auto& b = TeamPool::instance();
   EXPECT_EQ(&a, &b);
+}
+
+TEST(TeamPool, PublishCountersMatchesAccessors) {
+  TeamPool pool;
+  {
+    auto a = pool.lease(2);
+    auto b = pool.lease(2);
+    auto c = pool.lease(3);
+  }
+  { auto again = pool.lease(2); }
+  EXPECT_EQ(pool.teams_created(), 3u);
+  EXPECT_EQ(pool.leases_granted(), 4u);
+  pool.publish_counters("publish_teams");
+  const auto rows = common::Tracer::instance().counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"publish_teams.teams_created", pool.teams_created()},
+      {"publish_teams.leases_granted", pool.leases_granted()},
+      {"publish_teams.lease_contentions", pool.lease_contentions()},
+      {"publish_teams.leased_high_water",
+       static_cast<std::uint64_t>(pool.leased_high_water())},
+      {"publish_teams.idle_teams", pool.idle_count()},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
 }
 
 }  // namespace

@@ -17,9 +17,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/sync.hpp"
+#include "common/tracing.hpp"
 #include "core/runtime.hpp"
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
@@ -764,6 +766,56 @@ TEST_F(NetServerTest, GracefulStopDrainsInflightResponses) {
   EXPECT_EQ(responses[0].status, kStatusOk);
   EXPECT_TRUE(read_eof(fd.get()));
   EXPECT_EQ(server_->stats().responses_sent, 1u);
+}
+
+TEST_F(NetServerTest, StopPublishesServerAndReactorCounters) {
+  Server::Config cfg;
+  cfg.name = "publish_net";
+  start(std::move(cfg));
+  {
+    Fd fd = connect_ready(server_->port());
+    std::vector<std::uint8_t> wire;
+    const std::vector<std::uint8_t> payload{1, 2, 3};
+    encode_http_request(wire, 1, payload);
+    encode_http_request(wire, 2, payload);
+    send_all(fd.get(), wire);
+    std::vector<OwnedResponse> responses;
+    ASSERT_TRUE(read_responses(fd.get(), 2, &responses));
+  }
+  server_->stop();
+  const ServerStats s = server_->stats();
+  const ReactorStats r = server_->reactor().stats();
+  EXPECT_EQ(s.requests_received, 2u);
+  EXPECT_EQ(s.responses_sent, 2u);
+  EXPECT_GE(r.epoll_waits, 1u);
+  const auto rows = common::Tracer::instance().counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"publish_net.connections_accepted", s.connections_accepted},
+      {"publish_net.connections_closed", s.connections_closed},
+      {"publish_net.requests_received", s.requests_received},
+      {"publish_net.requests_admitted", s.requests_admitted},
+      {"publish_net.requests_shed", s.requests_shed},
+      {"publish_net.responses_sent", s.responses_sent},
+      {"publish_net.responses_dropped", s.responses_dropped},
+      {"publish_net.protocol_errors", s.protocol_errors},
+      {"publish_net.handler_errors", s.handler_errors},
+      {"publish_net.idle_closed", s.idle_closed},
+      {"publish_net.shed_entries", s.shed_entries},
+      {"publish_net.accept_gate_closes", s.accept_gate_closes},
+      {"publish_net.bytes_received", s.bytes_received},
+      {"publish_net.bytes_sent", s.bytes_sent},
+      {"publish_net.reactor.epoll_waits", r.epoll_waits},
+      {"publish_net.reactor.fd_events", r.fd_events},
+      {"publish_net.reactor.wakeups", r.wakeups},
+      {"publish_net.reactor.tasks_run", r.tasks_run},
+      {"publish_net.reactor.timers_scheduled", r.timers_scheduled},
+      {"publish_net.reactor.timers_fired", r.timers_fired},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
 }
 
 }  // namespace

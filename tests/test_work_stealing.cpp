@@ -11,11 +11,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/sync.hpp"
+#include "common/tracing.hpp"
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "executor/work_stealing_executor.hpp"
@@ -42,7 +44,7 @@ struct WorkStealingTestPeer {
     return pool.wake_pending_.load(std::memory_order_acquire);
   }
   static std::uint64_t idle_exits(const WorkStealingExecutor& pool) {
-    return pool.idle_exits_.load(std::memory_order_acquire);
+    return pool.stats().idle_exits;
   }
   static bool notify_marked(WorkStealingExecutor& pool) {
     return pool.notify_marked();
@@ -731,6 +733,47 @@ TEST(WorkStealing, PinsToAffinityMaskWithoutConstructorFlag) {
     ASSERT_GE(worker, 0);
     EXPECT_EQ(cpu, allowed[static_cast<std::size_t>(worker) % allowed.size()])
         << "worker " << worker;
+  }
+}
+
+TEST(WorkStealing, ShutdownPublishesCounters) {
+  // Every published row must read what the accessors read after the join.
+  // Foreign posts and a batch feed the injection list; each task spawns a
+  // child onto its worker's deque, for local pops and steals.
+  WorkStealingExecutor pool("publish_ws", 3);
+  constexpr int kPosts = 40;
+  common::CountdownLatch latch(2 * (kPosts + 8));
+  auto spawn = [&] {
+    pool.post([&] { latch.count_down(); });
+    latch.count_down();
+  };
+  for (int i = 0; i < kPosts; ++i) pool.post(spawn);
+  std::vector<Task> batch;
+  for (int i = 0; i < 8; ++i) batch.emplace_back(spawn);
+  pool.post_batch(batch);
+  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
+  pool.shutdown();
+  EXPECT_EQ(pool.batch_posts(), 1u);
+  EXPECT_EQ(pool.local_pops() + pool.steals() + pool.injection_pops(),
+            static_cast<std::uint64_t>(2 * (kPosts + 8)));
+  const auto rows = common::Tracer::instance().counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"publish_ws.local_pops", pool.local_pops()},
+      {"publish_ws.steals", pool.steals()},
+      {"publish_ws.injection_pops", pool.injection_pops()},
+      {"publish_ws.wakes", pool.wakes()},
+      {"publish_ws.batch_posts", pool.batch_posts()},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
+  // Published only while pinning in some versions; when present it must
+  // match the accessor.
+  const auto pinned = rows.find("publish_ws.pinned_workers");
+  if (pinned != rows.end()) {
+    EXPECT_EQ(pinned->second, pool.pinned_workers());
   }
 }
 
