@@ -121,13 +121,6 @@ CallGraph::CallGraph(const DirectiveGraph& graph)
   }
 }
 
-int CallGraph::function_named(const std::string& name) const {
-  for (int i = 0; i < static_cast<int>(functions_.size()); ++i) {
-    if (functions_[static_cast<std::size_t>(i)].name == name) return i;
-  }
-  return -1;
-}
-
 std::vector<int> CallGraph::regions_of(int function) const {
   std::vector<int> out;
   if (function < 0 ||

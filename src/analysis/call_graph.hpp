@@ -43,9 +43,6 @@ class CallGraph {
     return compiler::function_at(functions_, pos);
   }
 
-  /// Index of the function named `name`, or -1 (first definition wins).
-  [[nodiscard]] int function_named(const std::string& name) const;
-
   /// Region nodes (indices into graph().nodes()) directly attributed to
   /// the function — the innermost function containing the directive.
   [[nodiscard]] std::vector<int> regions_of(int function) const;

@@ -103,13 +103,6 @@ class SummaryTable {
   /// Summary of a *defined* function, or nullptr for unknown names.
   [[nodiscard]] const FunctionSummary* summary(const std::string& name) const;
 
-  /// True when some resolved call site invokes `name` anywhere in the
-  /// program — the analysis has seen the function actually entered, so
-  /// frame-lifetime reasoning about its locals applies.
-  [[nodiscard]] bool has_caller(const std::string& name) const {
-    return callers_.count(name) != 0;
-  }
-
   /// First observed call site of `name` (callee field holds the *calling*
   /// function's name, or "<file scope>"); nullptr when never called.
   [[nodiscard]] const CallFrame* first_caller(const std::string& name) const;

@@ -39,14 +39,6 @@ class MhpRelation {
   /// True when `outer` is a lexical ancestor of `inner`.
   [[nodiscard]] bool is_ancestor(int outer, int inner) const;
 
-  /// Nearest enclosing *target-region* ancestor of `node`, or -1 for
-  /// top level. Unlike DirectiveGraph::enclosing_target, traditional
-  /// parallel regions are transparent here: the walk is about lexical
-  /// execution contexts, not executor identity.
-  [[nodiscard]] int target_context(int node) const {
-    return tctx_[static_cast<std::size_t>(node)];
-  }
-
   /// True when every access inside region `node` happens-before
   /// execution reaching byte `pos`, where `pos` lies in the direct body
   /// of region `ctx` (-1 = file scope). Conservative: false means
@@ -70,7 +62,10 @@ class MhpRelation {
                                            std::vector<int>& visiting) const;
 
   const DirectiveGraph* graph_;
-  std::vector<int> tctx_;  ///< node -> nearest kTarget ancestor (or -1)
+  /// node -> nearest kTarget ancestor (or -1). Unlike
+  /// DirectiveGraph::enclosing_target, traditional parallel regions are
+  /// transparent: the walk follows lexical execution contexts.
+  std::vector<int> tctx_;
 };
 
 }  // namespace evmp::analysis

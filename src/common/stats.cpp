@@ -6,43 +6,6 @@
 
 namespace evmp::common {
 
-void OnlineStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-merge formula.
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nab = na + nb;
-  mean_ += delta * nb / nab;
-  m2_ += other.m2_ + delta * delta * na * nb / nab;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 LatencyHistogram::LatencyHistogram() : counts_(kBuckets) {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
 }
@@ -86,17 +49,6 @@ HistogramSnapshot LatencyHistogram::snapshot() const noexcept {
   s.sum_ = sum_.load(std::memory_order_relaxed);
   s.n_ = n_.load(std::memory_order_relaxed);
   return s;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::uint64_t c = other.counts_[b].load(std::memory_order_relaxed);
-    if (c != 0) counts_[b].fetch_add(c, std::memory_order_relaxed);
-  }
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  n_.fetch_add(other.n_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
 }
 
 double HistogramSnapshot::mean_ns() const noexcept {

@@ -1,7 +1,6 @@
 #pragma once
-// Measurement accumulators used by every benchmark harness: online
-// mean/variance and a log-bucketed latency histogram for cheap concurrent
-// recording in bounded memory.
+// The latency accumulator every benchmark harness uses: a log-bucketed
+// histogram for cheap concurrent recording in bounded memory.
 
 #include <array>
 #include <atomic>
@@ -10,30 +9,6 @@
 #include <vector>
 
 namespace evmp::common {
-
-/// Welford's online mean/variance accumulator. Single-writer.
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const OnlineStats& other) noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// The latency quantiles every harness reports, in nanoseconds.
 struct LatencyQuantiles {
@@ -100,9 +75,6 @@ class LatencyHistogram {
   /// snapshot taken while writers race is a consistent-enough view for
   /// reporting, same contract as the counters themselves).
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept;
-
-  /// Fold another histogram's counts into this one (bucket-wise; exact).
-  void merge(const LatencyHistogram& other) noexcept;
 
   void reset() noexcept;
 

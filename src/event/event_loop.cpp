@@ -70,7 +70,7 @@ void EventLoop::post_batch(std::span<exec::Task> tasks) {
     last = node;
   }
   if (!enqueue(first, last, tasks.size(), "batch of events")) return;
-  batch_posts_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&EventLoopStats::batch_posts);
   wake_parked_members();
 }
 
@@ -114,11 +114,8 @@ void EventLoop::dispatch(EventNode* node) {
       static_cast<std::uint64_t>(std::max<std::int64_t>(
           0, common::elapsed_ns(posted, begin))));
   ++nesting_;
-  int snapshot = max_nesting_.load(std::memory_order_relaxed);
-  while (nesting_ > snapshot &&
-         !max_nesting_.compare_exchange_weak(snapshot, nesting_,
-                                             std::memory_order_relaxed)) {
-  }
+  counters_.raise(&EventLoopStats::max_nesting,
+                  static_cast<std::uint64_t>(nesting_));
   try {
     fn();
   } catch (...) {
@@ -205,12 +202,10 @@ void EventLoop::stop() {
   stop_requested_.store(true, std::memory_order_seq_cst);
   wake_parked_members();       // the EDT, parked in its join
   idle_waiters_.notify_all();  // wait_until_idle() returns on stop
-  auto& tracer = common::Tracer::instance();
   const std::string prefix(name());
-  tracer.set_counter(prefix + ".dispatched",
-                     dispatched_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".batch_posts",
-                     batch_posts_.load(std::memory_order_relaxed));
+  common::Tracer::instance().set_counter(
+      prefix + ".dispatched", dispatched_.load(std::memory_order_relaxed));
+  counters_.publish(prefix);
 }
 
 void EventLoop::wait_until_idle() {
@@ -229,7 +224,7 @@ void EventLoop::wait_until_idle() {
 void EventLoop::reset_stats() {
   dispatched_.store(0, std::memory_order_relaxed);
   busy_ns_.store(0, std::memory_order_relaxed);
-  max_nesting_.store(0, std::memory_order_relaxed);
+  counters_.reset();
   delay_hist_.reset();
 }
 

@@ -29,6 +29,7 @@
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/counters.hpp"
 #include "common/deadline_heap.hpp"
 #include "common/event_count.hpp"
 #include "common/mpsc_list.hpp"
@@ -38,6 +39,18 @@
 #include "executor/executor.hpp"
 
 namespace evmp::event {
+
+/// The EDT's relaxed counters. dispatched() and busy_time() stay
+/// hand-written: the dispatch count's release bump publishes the busy time.
+struct EventLoopStats {
+  std::uint64_t batch_posts = 0;  ///< post_batch() calls accepted
+  std::uint64_t max_nesting = 0;  ///< deepest re-entrant dispatch nesting
+
+  static constexpr common::CounterField<EventLoopStats> kFields[] = {
+      {"batch_posts", &EventLoopStats::batch_posts},
+      {"max_nesting", &EventLoopStats::max_nesting},
+  };
+};
 
 /// Single-threaded event loop; doubles as an Executor so it can be
 /// registered as the `edt` virtual target (paper Table II,
@@ -131,12 +144,12 @@ class EventLoop final : public exec::Executor {
   }
   /// Deepest observed re-entrant dispatch nesting.
   [[nodiscard]] int max_nesting() const noexcept {
-    return max_nesting_.load(std::memory_order_relaxed);
+    return static_cast<int>(counters_.snapshot().max_nesting);
   }
   /// post_batch() calls accepted (events they carried count in pending()/
   /// dispatched() as usual).
   [[nodiscard]] std::uint64_t batch_posts() const noexcept {
-    return batch_posts_.load(std::memory_order_relaxed);
+    return counters_.snapshot().batch_posts;
   }
   /// Distribution of post→dispatch-start delays (EDT responsiveness).
   [[nodiscard]] const common::LatencyHistogram& dispatch_delay() const noexcept {
@@ -198,9 +211,8 @@ class EventLoop final : public exec::Executor {
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> dispatched_{0};
-  std::atomic<std::uint64_t> batch_posts_{0};
   std::atomic<std::int64_t> busy_ns_{0};
-  std::atomic<int> max_nesting_{0};
+  common::Counters<EventLoopStats> counters_;
   int nesting_ = 0;  // touched only by the EDT
   common::LatencyHistogram delay_hist_;
 

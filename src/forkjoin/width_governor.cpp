@@ -49,10 +49,6 @@ void WidthGovernor::on_release() noexcept {
   active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void WidthGovernor::set_queue_depth(std::size_t depth) noexcept {
-  queue_depth_.store(depth, std::memory_order_relaxed);
-}
-
 int WidthGovernor::active() const noexcept {
   return active_.load(std::memory_order_relaxed);
 }
@@ -68,8 +64,6 @@ int WidthGovernor::decayed_high_water() const noexcept {
 int WidthGovernor::decide(int hint) noexcept {
   WidthSignals signals;
   signals.active_leases = active_.load(std::memory_order_relaxed);
-  signals.queue_depth = static_cast<int>(std::min<std::size_t>(
-      queue_depth_.load(std::memory_order_relaxed), 1u << 20));
   signals.cores = cores();
   return decide(hint, signals);
 }
@@ -77,9 +71,8 @@ int WidthGovernor::decide(int hint) noexcept {
 int WidthGovernor::decide(int hint, const WidthSignals& signals) noexcept {
   const int budget = signals.cores > 0 ? signals.cores : cores();
   if (hint <= 0) hint = budget;
-  // Demand counts the requester itself plus everything running or queued.
-  const int demand = std::max(1, signals.active_leases + 1 +
-                                     std::max(0, signals.queue_depth));
+  // Demand counts the requester itself plus every region running now.
+  const int demand = std::max(1, signals.active_leases + 1);
   const int share = std::max(1, (kOversubscription * budget) / demand);
   const int width = std::clamp(share, 1, std::max(1, hint));
   decisions_.fetch_add(1, std::memory_order_relaxed);

@@ -9,8 +9,7 @@
 // granted a width sized from live load signals —
 //
 //  * the number of concurrently leased teams (each is a running region
-//    competing for the same cores),
-//  * a queue-depth hint (regions already waiting behind them), and
+//    competing for the same cores), and
 //  * the core budget (hardware_concurrency, or the simulated machine's
 //    core count in the Figure 9 model benches).
 //
@@ -37,7 +36,6 @@ namespace evmp::fj {
 /// instead of racing real leases.
 struct WidthSignals {
   int active_leases = 0;  ///< regions running now (excluding the requester)
-  int queue_depth = 0;    ///< regions queued behind them
   int cores = 0;          ///< core budget; <= 0 means hardware_concurrency
 };
 
@@ -66,9 +64,6 @@ class WidthGovernor {
   // --- live load feeds (relaxed atomics; called by TeamPool) --------------
   void on_lease() noexcept;
   void on_release() noexcept;
-  /// Latest queue-depth observation (regions waiting to start); connectors
-  /// and executors may publish theirs, 0 clears it.
-  void set_queue_depth(std::size_t depth) noexcept;
 
   [[nodiscard]] int active() const noexcept;
   /// Monotone high-water mark of concurrent leases.
@@ -111,7 +106,6 @@ class WidthGovernor {
   std::atomic<int> active_{0};
   std::atomic<int> high_water_{0};
   std::atomic<int> decayed_high_water_{0};
-  std::atomic<std::size_t> queue_depth_{0};
   std::atomic<std::uint32_t> decisions_since_decay_{0};
   std::atomic<std::uint64_t> decisions_{0};
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> requested_{};

@@ -11,8 +11,6 @@
 #include "kernels/montecarlo.hpp"
 #include "kernels/raytracer.hpp"
 #include "kernels/series.hpp"
-#include "kernels/sor.hpp"
-#include "kernels/sparsematmult.hpp"
 
 namespace evmp::kernels {
 
@@ -128,22 +126,12 @@ std::unique_ptr<Kernel> make_kernel(std::string_view kernel_name,
     return std::make_unique<MonteCarloKernel>(size);
   }
   if (kernel_name == "series") return std::make_unique<SeriesKernel>(size);
-  if (kernel_name == "sor") return std::make_unique<SorKernel>(size);
-  if (kernel_name == "sparsematmult") {
-    return std::make_unique<SparseMatmultKernel>(size);
-  }
   throw std::invalid_argument("unknown kernel: " + std::string(kernel_name));
 }
 
 const std::vector<std::string>& kernel_names() {
   static const std::vector<std::string> names{"crypt", "raytracer",
                                               "montecarlo", "series"};
-  return names;
-}
-
-const std::vector<std::string>& extended_kernel_names() {
-  static const std::vector<std::string> names{
-      "crypt", "raytracer", "montecarlo", "series", "sor", "sparsematmult"};
   return names;
 }
 

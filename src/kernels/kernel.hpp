@@ -3,12 +3,13 @@
 //
 // The paper's §V.A benchmarks "adopt a computational kernel selected from
 // the Java Grande Benchmark suite ... Crypt, RayTracer, MonteCarlo and
-// Series" to simulate time-consuming work inside event handlers. Each
-// kernel here is a faithful C++ port, decomposed into `units()` independent
-// work units so it can run sequentially or under any fork-join schedule.
+// Series" to simulate time-consuming work inside event handlers. These four
+// are the only kernels here; each is a faithful C++ port, decomposed into
+// `units()` independent work units so it can run sequentially or under any
+// fork-join schedule.
 //
-// Work models (see DESIGN.md §2): this container exposes a single CPU, so a
-// kernel can run in
+// Work models (see DESIGN.md §2): the host has fewer cores than the paper's
+// 16-core Xeon, so a kernel can run in
 //  * WorkModel::kReal       — pure computation (the paper's setting); or
 //  * WorkModel::kSimulated  — the same computation *plus* a calibrated
 //    sleep per unit, emulating each unit's duration on a dedicated core.
@@ -106,10 +107,8 @@ class Kernel {
       long chunk = 0);
 
   /// Parallel run restricted to units [lo, hi) — used by handlers that
-  /// interleave GUI progress updates between kernel halves. Virtual so
-  /// kernels with cross-unit ordering constraints (e.g. SOR's red/black
-  /// phases) can impose phase barriers while reusing the schedules.
-  virtual std::uint64_t run_parallel_range(
+  /// interleave GUI progress updates between kernel halves.
+  std::uint64_t run_parallel_range(
       fj::Team& team, long lo, long hi,
       fj::Schedule sched = fj::Schedule::kStatic, long chunk = 0);
 
@@ -123,17 +122,13 @@ class Kernel {
 /// in tens of milliseconds (benchmarks, real mode).
 enum class SizeClass : int { kTiny = 0, kSmall = 1, kMedium = 2 };
 
-/// Factory: construct a kernel by name ("crypt", "series", "montecarlo",
-/// "raytracer") at the given size class. Throws std::invalid_argument for
-/// unknown names. The kernel is returned un-prepared.
+/// Factory: construct one of the paper's four kernels by name (see
+/// kernel_names()) at the given size class. Throws std::invalid_argument
+/// for any other name. The kernel is returned un-prepared.
 std::unique_ptr<Kernel> make_kernel(std::string_view kernel_name,
                                     SizeClass size = SizeClass::kSmall);
 
 /// The paper's four evaluation kernels, in its order.
 const std::vector<std::string>& kernel_names();
-
-/// All kernels the factory accepts: the paper's four plus the "sor" and
-/// "sparsematmult" extensions (JGF kernels not used by the paper).
-const std::vector<std::string>& extended_kernel_names();
 
 }  // namespace evmp::kernels

@@ -140,9 +140,6 @@ class Server {
     return stats_.snapshot();
   }
   [[nodiscard]] Reactor& reactor() noexcept { return reactor_; }
-  [[nodiscard]] bool shedding() const noexcept {
-    return shedding_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend struct Connection;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -22,65 +23,14 @@
 namespace evmp::common {
 namespace {
 
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStats, MeanMinMax) {
-  OnlineStats s;
-  for (double x : {4.0, 1.0, 7.0, 2.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 7.0);
-}
-
-TEST(OnlineStats, VarianceMatchesTwoPass) {
-  OnlineStats s;
-  const double xs[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
+/// Sample mean and standard deviation (n-1 denominator), by two passes.
+std::pair<double, double> mean_and_stddev(const std::vector<double>& xs) {
   double mean = 0.0;
-  for (double x : xs) {
-    s.add(x);
-    mean += x;
-  }
-  mean /= 8.0;
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= 7.0;  // sample variance
-  EXPECT_NEAR(s.variance(), var, 1e-12);
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  Xoshiro256 rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_double() * 100.0;
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a;
-  OnlineStats b;
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
+  for (double x : xs) mean += x;
+  mean /= static_cast<double>(xs.size());
+  double m2 = 0.0;
+  for (double x : xs) m2 += (x - mean) * (x - mean);
+  return {mean, std::sqrt(m2 / static_cast<double>(xs.size() - 1))};
 }
 
 TEST(LatencyHistogram, EmptyReportsZero) {
@@ -412,18 +362,19 @@ TEST(Rng, NextBelowRespectsBound) {
 
 TEST(Rng, GaussianMoments) {
   Xoshiro256 rng(13);
-  OnlineStats s;
-  for (int i = 0; i < 200'000; ++i) s.add(rng.next_gaussian());
-  EXPECT_NEAR(s.mean(), 0.0, 0.02);
-  EXPECT_NEAR(s.stddev(), 1.0, 0.02);
+  std::vector<double> xs(200'000);
+  for (double& x : xs) x = rng.next_gaussian();
+  const auto [mean, stddev] = mean_and_stddev(xs);
+  EXPECT_NEAR(mean, 0.0, 0.02);
+  EXPECT_NEAR(stddev, 1.0, 0.02);
 }
 
 TEST(Rng, ExponentialMean) {
   Xoshiro256 rng(17);
-  OnlineStats s;
-  for (int i = 0; i < 100'000; ++i) s.add(rng.next_exponential(5.0));
-  EXPECT_NEAR(s.mean(), 5.0, 0.2);
-  EXPECT_GE(s.min(), 0.0);
+  std::vector<double> xs(100'000);
+  for (double& x : xs) x = rng.next_exponential(5.0);
+  EXPECT_NEAR(mean_and_stddev(xs).first, 5.0, 0.2);
+  EXPECT_GE(*std::min_element(xs.begin(), xs.end()), 0.0);
 }
 
 TEST(Clock, PreciseSleepIsAccurate) {

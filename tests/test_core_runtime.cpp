@@ -234,14 +234,17 @@ bool eventually(Pred pred, common::Millis limit = common::Millis{5000}) {
 }
 
 TEST_F(RuntimeTest, AwaitParksInsteadOfPolling) {
-  // Nothing else is queued on the EDT while it awaits a 30 ms block: it
-  // climbs the spin ladder once, parks, and the block's completion wakes
-  // it. The nap loop this replaced woke ~150 times here.
+  // Nothing else is queued on the EDT while it awaits the block: it climbs
+  // the spin ladder once, parks, and the block's completion wakes it. The
+  // nap loop this replaced woke ~150 times in a 30 ms block. The block
+  // stays open until the EDT is seen parked (bounded), so a spin ladder
+  // slowed by a loaded host cannot outlast it.
   common::CountdownLatch finished(1);
   rt_.reset_stats();
   edt_.post([&] {
     rt_.invoke_target_block(
-        "worker", [] { common::precise_sleep(common::Millis{30}); },
+        "worker",
+        [&] { eventually([&] { return edt_.parked_members() == 1; }); },
         Async::kAwait);
     finished.count_down();
   });
@@ -424,6 +427,7 @@ TEST_F(RuntimeTest, WaitTagRethrowsFirstGroupError) {
 
 TEST_F(RuntimeTest, NowaitExceptionGoesToHook) {
   static std::atomic<int> hits{0};
+  hits.store(0);  // static: --gtest_repeat runs this body again
   auto prev = exec::unhandled_exception_hook();
   exec::set_unhandled_exception_hook(
       [](std::string_view, std::exception_ptr) { hits.fetch_add(1); });

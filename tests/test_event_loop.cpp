@@ -238,6 +238,19 @@ TEST(EventLoop, ResetStatsClears) {
   EXPECT_EQ(loop.busy_time().count(), 0);
 }
 
+TEST(EventLoop, ResetStatsClearsBatchPosts) {
+  EventLoop loop;
+  loop.start();
+  std::vector<exec::Task> batch;
+  batch.emplace_back([] {});
+  loop.post_batch(batch);
+  loop.wait_until_idle();
+  ASSERT_EQ(loop.batch_posts(), 1u);
+  loop.reset_stats();
+  EXPECT_EQ(loop.batch_posts(), 0u);
+  EXPECT_EQ(loop.max_nesting(), 0);
+}
+
 TEST(EventLoop, HandlerExceptionDoesNotKillLoop) {
   EventLoop loop;
   loop.start();
@@ -472,6 +485,8 @@ TEST(EventLoop, StopPublishesCounters) {
   const std::pair<const char*, std::uint64_t> expected[] = {
       {"publish_edt.dispatched", loop.dispatched()},
       {"publish_edt.batch_posts", loop.batch_posts()},
+      {"publish_edt.max_nesting",
+       static_cast<std::uint64_t>(loop.max_nesting())},
   };
   for (const auto& [name, value] : expected) {
     const auto it = rows.find(name);

@@ -14,10 +14,9 @@
 namespace evmp::fj {
 namespace {
 
-WidthSignals signals(int active, int queue, int cores) {
+WidthSignals signals(int active, int cores) {
   WidthSignals s;
   s.active_leases = active;
-  s.queue_depth = queue;
   s.cores = cores;
   return s;
 }
@@ -26,50 +25,44 @@ WidthSignals signals(int active, int queue, int cores) {
 
 TEST(WidthGovernor, LoneRegionGetsFullHint) {
   WidthGovernor gov;
-  EXPECT_EQ(gov.decide(8, signals(0, 0, 16)), 8);
+  EXPECT_EQ(gov.decide(8, signals(0, 16)), 8);
 }
 
 TEST(WidthGovernor, SaturatedLoadClampsToOne) {
   // Fifty concurrent Figure 9 requests on 16 cores: width collapses to 1.
   WidthGovernor gov;
-  EXPECT_EQ(gov.decide(8, signals(50, 0, 16)), 1);
+  EXPECT_EQ(gov.decide(8, signals(50, 16)), 1);
 }
 
 TEST(WidthGovernor, MidLoadScalesProportionally) {
   WidthGovernor gov;
   // demand = 7 running + the requester = 8; share = 2*16/8 = 4.
-  EXPECT_EQ(gov.decide(8, signals(7, 0, 16)), 4);
-}
-
-TEST(WidthGovernor, QueueDepthAddsDemand) {
-  WidthGovernor gov;
-  // demand = 7 + 1 + 8 queued = 16; share = 2*16/16 = 2.
-  EXPECT_EQ(gov.decide(8, signals(7, 8, 16)), 2);
+  EXPECT_EQ(gov.decide(8, signals(7, 16)), 4);
 }
 
 TEST(WidthGovernor, NonPositiveHintMeansCoreBudget) {
   WidthGovernor gov;
-  EXPECT_EQ(gov.decide(0, signals(0, 0, 16)), 16);
-  EXPECT_EQ(gov.decide(-1, signals(0, 0, 16)), 16);
+  EXPECT_EQ(gov.decide(0, signals(0, 16)), 16);
+  EXPECT_EQ(gov.decide(-1, signals(0, 16)), 16);
 }
 
 TEST(WidthGovernor, WidthNeverBelowOne) {
   WidthGovernor gov;
-  EXPECT_EQ(gov.decide(1, signals(1000, 1000, 1)), 1);
-  EXPECT_EQ(gov.decide(0, signals(1000, 0, 1)), 1);
+  EXPECT_EQ(gov.decide(1, signals(1000, 1)), 1);
+  EXPECT_EQ(gov.decide(0, signals(1000, 1)), 1);
 }
 
 TEST(WidthGovernor, SixteenConcurrentOnSixteenCoresKeepHeadroom) {
   // The kOversubscription=2 headroom: demand == cores still grants 2-wide
   // teams instead of collapsing to sequential.
   WidthGovernor gov;
-  EXPECT_EQ(gov.decide(8, signals(15, 0, 16)), 2);
+  EXPECT_EQ(gov.decide(8, signals(15, 16)), 2);
 }
 
 TEST(WidthGovernor, HistogramsRecordRequestedAndGranted) {
   WidthGovernor gov;
-  gov.decide(8, signals(0, 0, 16));   // requested 8, granted 8
-  gov.decide(8, signals(50, 0, 16));  // requested 8, granted 1
+  gov.decide(8, signals(0, 16));   // requested 8, granted 8
+  gov.decide(8, signals(50, 16));  // requested 8, granted 1
   const auto requested = gov.requested_histogram();
   const auto granted = gov.granted_histogram();
   // bucket 3 holds widths 5-8; bucket 0 holds width 1.
@@ -82,8 +75,8 @@ TEST(WidthGovernor, SetCoresOverridesBudget) {
   WidthGovernor gov;
   gov.set_cores(4);
   EXPECT_EQ(gov.cores(), 4);
-  EXPECT_EQ(gov.decide(8, signals(0, 0, 0)), 8);  // 2*4 >= 8
-  EXPECT_EQ(gov.decide(8, signals(7, 0, 0)), 1);  // 2*4/8 = 1
+  EXPECT_EQ(gov.decide(8, signals(0, 0)), 8);  // 2*4 >= 8
+  EXPECT_EQ(gov.decide(8, signals(7, 0)), 1);  // 2*4/8 = 1
   gov.set_cores(0);
   EXPECT_GE(gov.cores(), 1);  // back to hardware_concurrency
 }
