@@ -122,8 +122,10 @@ int main(int argc, char** argv) {
 
   const std::string check = args.get("check", "");
   if (!check.empty()) {
-    const double budget =
-        evmp::common::read_budget(check, "await_parks_per_await", 0.0);
+    const auto budget_or =
+        evmp::common::read_budget(check, "await_parks_per_await");
+    if (!budget_or) return 1;
+    const double budget = *budget_or;
     std::printf("\ncheck: %.2f parks/await (budget %.2f)\n",
                 awaiting.parks_per_await, budget);
     if (awaiting.parks_per_await > budget) {

@@ -13,8 +13,7 @@
 //
 // Flags: --threads=1,2,4,8,16,32 --users=50 --requests=2 --payload=4096
 //        --width=3 (per-request team for +parallel) --real --handler-ms=20
-//        --burst=N (pipelined requests per user round trip; batched
-//        submission through the connectors) --full --csv=DIR
+//        --full --csv=DIR
 //
 // --real-net switches to the real network front end (EXPERIMENTS.md §NET1):
 // an open-loop offered-load sweep through net::LoadClient against the
@@ -183,7 +182,6 @@ int main(int argc, char** argv) {
   cfg.users.requests_per_user =
       static_cast<int>(args.get_long("requests", full ? 5 : 2));
   cfg.users.payload_bytes = cfg.payload;
-  cfg.users.burst = static_cast<int>(args.get_long("burst", 1));
   evmp::kernels::set_simulated_cores(
       static_cast<int>(args.get_long("sim-cores", 16)));
   if (cfg.model == evmp::kernels::WorkModel::kSimulated) {
@@ -282,15 +280,10 @@ int main(int argc, char** argv) {
               "request count; that is the fix for that mechanism. "
               "'p50/p99/p999 ms': round-trip latency quantiles of the "
               "adaptive series from the log-bucketed latency histogram.\n");
-  if (cfg.users.burst > 1) {
-    std::printf("# burst=%d: each user pipelines %d requests per round trip; "
-                "connectors admit each burst via batched submission.\n",
-                cfg.users.burst, cfg.users.burst);
-  }
 
-  // Run-queue fan-in counters published by the executors of the final run
-  // (worker pool shards, dispatcher batches) plus the team pool's width
-  // decisions; see common::Tracer.
+  // Run-queue counters published by the executors of the final run (worker
+  // pool, dispatcher loop) plus the team pool's width decisions; see
+  // common::Tracer.
   evmp::fj::TeamPool::instance().publish_counters();
   std::printf("# executor counters (last run):\n");
   for (const auto& [counter, value] :

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -36,6 +37,8 @@
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "event/event_loop.hpp"
+#include "executor/completion.hpp"
+#include "executor/task_node.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "executor/work_stealing_executor.hpp"
 #include "net/reactor.hpp"
@@ -131,9 +134,12 @@ using evmp::Async;
 using evmp::Runtime;
 using evmp::common::read_budget;
 
+/// Threads of the shared "worker" pool.
+constexpr int kBenchWorkers = 2;
+
 /// Shared fixture state: one runtime with a worker pool.
 struct BenchRuntime {
-  BenchRuntime() { rt.create_worker("worker", 2); }
+  BenchRuntime() { rt.create_worker("worker", kBenchWorkers); }
   ~BenchRuntime() { rt.clear(); }
   Runtime rt;
 };
@@ -256,30 +262,6 @@ void BM_NowaitThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_NowaitThroughput);
 
-void BM_NowaitBurst(benchmark::State& state) {
-  // Dispatch-rate sweep: a burst of N nowait blocks submitted per
-  // iteration via invoke_target_batch (one shard lock + one wakeup per
-  // burst), joined per iteration so queue depth stays bounded. items/s is
-  // the sustained dispatch rate at that burst size.
-  auto& rt = bench_rt().rt;
-  const int n = static_cast<int>(state.range(0));
-  std::atomic<std::uint64_t> sink{0};
-  AllocScope allocs(state);
-  for (auto _ : state) {
-    std::vector<evmp::exec::Task> blocks;
-    blocks.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      blocks.emplace_back(
-          [&] { sink.fetch_add(1, std::memory_order_relaxed); });
-    }
-    rt.invoke_target_batch("worker", std::move(blocks), Async::kNameAs,
-                           "burst");
-    rt.wait_tag("burst");
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_NowaitBurst)->RangeMultiplier(4)->Range(1, 256);
-
 void BM_EdtInvokeLater(benchmark::State& state) {
   evmp::event::EventLoop edt("edt");
   edt.start();
@@ -347,13 +329,20 @@ BENCHMARK_CAPTURE(BM_PostRoundTrip, steal1, RoundTripTarget::kSteal1)
 
 // --- steady-state allocation self-check (--alloc-check) -------------------
 
+/// Grow `Pool` to at least `n` nodes: acquire them all, then release them.
+template <class Pool>
+void prefill(std::size_t n) {
+  std::vector<decltype(Pool::acquire())> nodes;
+  nodes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) nodes.push_back(Pool::acquire());
+  for (auto* node : nodes) Pool::release(node);
+}
+
 /// Measure steady-state allocations per nowait dispatch on the submitting
 /// thread. Paced in rounds (dispatch a burst, then join) so queue depth and
 /// the task-node and completion-pool populations stabilise during warmup;
 /// the measured phase then repeats the identical pattern.
-int run_alloc_check(const std::string& budget_path) {
-  const double budget =
-      read_budget(budget_path, "allocs_per_nowait_dispatch", 0.0);
+int run_alloc_check(double budget) {
   auto& rt = bench_rt().rt;
 
   constexpr int kPerRound = 64;
@@ -365,6 +354,21 @@ int run_alloc_check(const std::string& budget_path) {
     }
     rt.wait_tag("alloc-check");
   };
+
+  // The submitter refills its pool cache from the global list and
+  // allocates a slab only when that list is dry. Nodes held outside it are
+  // at most: the round in flight (a worker may still hold a finished
+  // block's completion state), the submitter's cache and one cache per
+  // worker, each cache below the pool's cap of 64 (common::ObjectPool's
+  // default). A population above that bound keeps the list from running
+  // dry whatever earlier benchmarks left in the pools and however the host
+  // schedules the workers.
+  constexpr std::size_t kWorkers = kBenchWorkers;
+  constexpr std::size_t kPoolCacheMax = 64;
+  constexpr std::size_t kPrefill =
+      kPerRound + kWorkers + kPoolCacheMax * (1 + kWorkers);
+  prefill<evmp::exec::TaskNodePool>(kPrefill);
+  prefill<evmp::common::ObjectPool<evmp::exec::CompletionState>>(kPrefill);
 
   for (int i = 0; i < kWarmupRounds; ++i) round();
 
@@ -408,6 +412,13 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
+  // Read the budget before the benchmarks run: a file or key that cannot
+  // be read fails at once instead of after the whole suite.
+  std::optional<double> budget;
+  if (!budget_path.empty()) {
+    budget = read_budget(budget_path, "allocs_per_nowait_dispatch");
+    if (!budget) return 1;
+  }
   int pruned_argc = static_cast<int>(args.size());
   benchmark::Initialize(&pruned_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(pruned_argc, args.data())) {
@@ -415,6 +426,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!budget_path.empty()) return run_alloc_check(budget_path);
+  if (budget) return run_alloc_check(*budget);
   return 0;
 }

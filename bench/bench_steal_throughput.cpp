@@ -186,8 +186,9 @@ double run_regions_pooled(int regions, int width) {
 /// push — the heap is never touched (budget "allocs_per_adaptive_lease").
 int run_adaptive_lease_alloc_check(const std::string& budget_path,
                                    int width) {
-  const double budget =
-      read_budget(budget_path, "allocs_per_adaptive_lease", 0.0);
+  const auto budget_or = read_budget(budget_path, "allocs_per_adaptive_lease");
+  if (!budget_or) return 1;
+  const double budget = *budget_or;
   auto& pool = evmp::fj::TeamPool::instance();
 
   constexpr int kWarmupLeases = 256;   // > WidthGovernor::kDecayPeriod
@@ -229,8 +230,9 @@ int run_adaptive_lease_alloc_check(const std::string& budget_path,
 /// measured phase then repeats the exact same pattern and should touch
 /// the heap zero times.
 int run_alloc_check(const std::string& budget_path, int threads) {
-  const double budget =
-      read_budget(budget_path, "allocs_per_steal_dispatch", 0.0);
+  const auto budget_or = read_budget(budget_path, "allocs_per_steal_dispatch");
+  if (!budget_or) return 1;
+  const double budget = *budget_or;
   evmp::exec::WorkStealingExecutor pool(
       "alloc-check", static_cast<std::size_t>(threads));
 

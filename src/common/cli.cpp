@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -73,13 +74,11 @@ std::vector<long> CliArgs::get_long_list(const std::string& name,
   return out.empty() ? fallback : out;
 }
 
-double read_budget(const std::string& path, const char* key,
-                   double fallback) {
+std::optional<double> read_budget(const std::string& path, const char* key) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s; using budget %.3f\n", path.c_str(),
-                 fallback);
-    return fallback;
+    std::fprintf(stderr, "budget: cannot open %s\n", path.c_str());
+    return std::nullopt;
   }
   std::string text(1 << 16, '\0');
   const std::size_t got = std::fread(text.data(), 1, text.size(), f);
@@ -87,10 +86,17 @@ double read_budget(const std::string& path, const char* key,
   text.resize(got);
   const std::string needle = std::string("\"") + key + "\"";
   const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return fallback;
-  const std::size_t colon = text.find(':', at);
-  if (colon == std::string::npos) return fallback;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
+  const std::size_t colon =
+      at == std::string::npos ? at : text.find(':', at + needle.size());
+  if (colon != std::string::npos) {
+    const char* begin = text.c_str() + colon + 1;
+    char* end = nullptr;
+    const double value = std::strtod(begin, &end);
+    if (end != begin && std::isfinite(value)) return value;
+  }
+  std::fprintf(stderr, "budget: no numeric \"%s\" in %s\n", key,
+               path.c_str());
+  return std::nullopt;
 }
 
 }  // namespace evmp::common

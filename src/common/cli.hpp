@@ -7,6 +7,7 @@
 // boolean flag (or use --flag=1) to avoid the ambiguity.
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,9 @@ class CliArgs {
 };
 
 /// Minimal key lookup in a flat JSON object (bench/budgets.json): finds
-/// `"key" : <number>`. Returns `fallback` when the file or key is missing,
-/// so a check still runs against the default budget rather than silently
-/// passing.
-double read_budget(const std::string& path, const char* key, double fallback);
+/// `"key" : <number>`. A file that cannot be read, a missing key or a value
+/// that is not a finite number is reported on stderr and yields nullopt:
+/// the caller fails its gate rather than check against a guessed budget.
+std::optional<double> read_budget(const std::string& path, const char* key);
 
 }  // namespace evmp::common

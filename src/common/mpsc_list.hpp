@@ -6,10 +6,9 @@
 // injection list.
 //
 //  * push is one fetch_add on the count word, one exchange on the head
-//    and one link store; a chain linked privately by the producer splices
-//    with the same three steps, so a batch stays FIFO and contiguous.
-//    (A fetch_add, not a CAS: consumers decrement the same word, and a
-//    CAS would retry against them.) No lock, no allocation: the nodes
+//    and one link store. (A fetch_add, not a CAS: consumers decrement the
+//    same word, and a CAS would retry against them.) No lock, no
+//    allocation: the nodes
 //    belong to the caller (a common::ObjectPool in every executor here).
 //  * consumers take turns through a try-acquired flag, and try_pop()
 //    answers kTaken, kEmpty or kBusy. kBusy means another consumer holds
@@ -22,12 +21,12 @@
 //  * close() sets the closed bit with one RMW on the count word. A push
 //    whose fetch_add came first is counted and will be linked; a push
 //    whose fetch_add sees the bit takes its count back at once and is
-//    refused, its nodes never linked. So close() followed by a drain to a
+//    refused, its node never linked. So close() followed by a drain to a
 //    zero count runs every accepted push, and nothing accepted is stranded
 //    (DESIGN.md §6).
 //
 // Ordering: FIFO in the order of the head exchanges, hence FIFO per
-// producer and within a chain.
+// producer.
 //
 // Requirements on Node: default-constructible (the list keeps one as its
 // stub) with a member `std::atomic<Node*> next`. A node may be pushed
@@ -50,16 +49,12 @@ class MpscList {
 
   /// Append one node. False once closed: the node is not linked, its
   /// count is taken back, and it stays the caller's.
-  bool push(Node* node) noexcept { return push_chain(node, node, 1); }
-
-  /// Append `n` nodes the caller linked in order through `next`, first to
-  /// last, as one contiguous run. Refused as a whole once closed.
-  bool push_chain(Node* first, Node* last, std::size_t n) noexcept {
-    if ((count_.fetch_add(n, std::memory_order_relaxed) & kClosed) != 0) {
-      count_.fetch_sub(n, std::memory_order_relaxed);  // refused: uncount
+  bool push(Node* node) noexcept {
+    if ((count_.fetch_add(1, std::memory_order_relaxed) & kClosed) != 0) {
+      count_.fetch_sub(1, std::memory_order_relaxed);  // refused: uncount
       return false;
     }
-    link(first, last);
+    link(node);
     return true;
   }
 
@@ -124,13 +119,13 @@ class MpscList {
  private:
   static constexpr std::size_t kClosed = ~(~std::size_t{0} >> 1);  // top bit
 
-  void link(Node* first, Node* last) noexcept {
-    last->next.store(nullptr, std::memory_order_relaxed);
-    Node* prev = head_.exchange(last, std::memory_order_acq_rel);
-    // Between the exchange and this store the run is on the list but not
+  void link(Node* node) noexcept {
+    node->next.store(nullptr, std::memory_order_relaxed);
+    Node* prev = head_.exchange(node, std::memory_order_acq_rel);
+    // Between the exchange and this store the node is on the list but not
     // reachable from it: a consumer sees prev->next == nullptr and
     // reports kEmpty.
-    prev->next.store(first, std::memory_order_release);
+    prev->next.store(node, std::memory_order_release);
   }
 
   /// Vyukov's pop under the consumer flag: skip the stub, take a node once
@@ -146,7 +141,7 @@ class MpscList {
     }
     if (node != &stub_ && next == nullptr &&
         node == head_.load(std::memory_order_acquire)) {
-      link(&stub_, &stub_);
+      link(&stub_);
       next = node->next.load(std::memory_order_acquire);
     }
     // No successor: the list is empty, or the next node's producer is

@@ -202,72 +202,6 @@ void Runtime::verified_wait(const exec::CompletionRef& state,
   }
 }
 
-std::vector<exec::TaskHandle> Runtime::invoke_target_batch(
-    std::string_view tname, std::vector<exec::Task> blocks, Async mode,
-    std::string_view tag) {
-  std::vector<exec::TaskHandle> handles;
-  if (blocks.empty()) return handles;
-
-  // Disabled runtime: sequential semantics, block by block.
-  if (!enabled()) {
-    for (auto& block : blocks) block();
-    return handles;
-  }
-
-  exec::Executor& executor = resolve(tname);
-
-  // Thread-context awareness applies to the whole burst: member threads run
-  // it synchronously in order (Algorithm 1 line 6, N times).
-  if (executor.owns_current_thread()) {
-    stats_.add(&RuntimeStats::inline_fast_path, blocks.size());
-    for (auto& block : blocks) block();
-    return handles;
-  }
-
-  // Wrap every block with the same completion/tag/exception protocol as
-  // invoke_target_block, then submit the burst in one post_batch call.
-  handles.reserve(blocks.size());
-  std::vector<exec::Task> wrapped;
-  wrapped.reserve(blocks.size());
-  const bool report_unhandled = (mode == Async::kNowait);
-  TagGroup* group = nullptr;
-  if (mode == Async::kNameAs) group = &tags_.group(tag);
-  analysis::RaceCheck* rc = analysis::RaceCheck::active();
-  for (auto& block : blocks) {
-    exec::CompletionRef state = exec::CompletionState::make();
-    handles.emplace_back(state);
-    if (group != nullptr) group->enter();
-    const std::uint64_t birth =
-        rc != nullptr ? rc->on_dispatch(executor.name()) : 0;
-    wrapped.emplace_back([state = std::move(state), group, report_unhandled,
-                          ex = &executor, birth,
-                          fn = std::move(block)]() mutable {
-      run_dispatched_block(fn, state, group, ex, report_unhandled, birth);
-    });
-  }
-  executor.post_batch(wrapped);
-  stats_.add(&RuntimeStats::posted, handles.size());
-  stats_.add(&RuntimeStats::batch_posts);
-
-  switch (mode) {
-    case Async::kNowait:
-    case Async::kNameAs:
-      return handles;
-    case Async::kAwait:
-      for (const auto& handle : handles) {
-        await_completion(handle.state(), &executor);
-      }
-      return handles;
-    case Async::kDefault:
-      stats_.add(&RuntimeStats::default_waits, handles.size());
-      for (const auto& handle : handles) {
-        verified_wait(handle.state(), executor);
-      }
-      return handles;
-  }
-  return handles;  // unreachable
-}
-
 namespace {
 thread_local int t_await_depth = 0;
 

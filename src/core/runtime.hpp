@@ -37,7 +37,6 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "analysis/race_check.hpp"
 #include "common/counters.hpp"
@@ -66,7 +65,6 @@ class TargetNotFound : public std::runtime_error {
 struct RuntimeStats {
   std::uint64_t inline_fast_path = 0;  ///< membership hit, ran synchronously
   std::uint64_t posted = 0;            ///< blocks posted to an executor
-  std::uint64_t batch_posts = 0;       ///< invoke_target_batch submissions
   std::uint64_t awaits = 0;
   std::uint64_t await_pumped = 0;      ///< handlers pumped inside awaits
   std::uint64_t await_parks = 0;       ///< parks in await / wait(name-tag)
@@ -76,7 +74,6 @@ struct RuntimeStats {
   static constexpr common::CounterField<RuntimeStats> kFields[] = {
       {"inline_fast_path", &RuntimeStats::inline_fast_path},
       {"posted", &RuntimeStats::posted},
-      {"batch_posts", &RuntimeStats::batch_posts},
       {"awaits", &RuntimeStats::awaits},
       {"await_pumped", &RuntimeStats::await_pumped},
       {"await_parks", &RuntimeStats::await_parks},
@@ -178,20 +175,6 @@ class Runtime {
     return finish_dispatch(std::move(plan.state), mode, plan.executor);
   }
 
-  /// Batched Algorithm 1: dispatch a burst of target blocks to one virtual
-  /// target as a single submission — the burst joins the executor's run
-  /// list as one spliced chain with one wakeup (see Executor::post_batch).
-  /// Returns one handle per block, in submission order. Per-block
-  /// semantics match invoke_target_block: kNowait / kNameAs return
-  /// immediately (tag joins via wait_tag as usual); kAwait
-  /// applies the logical barrier until every block in the burst finished;
-  /// kDefault blocks until every block finished. Blocks run inline (and
-  /// the returned handles are empty) when the calling thread belongs to
-  /// the target executor or the runtime is disabled.
-  std::vector<exec::TaskHandle> invoke_target_batch(
-      std::string_view tname, std::vector<exec::Task> blocks,
-      Async mode = Async::kNowait, std::string_view tag = {});
-
   /// Shorthand for a directive with no target-property-clause: dispatch to
   /// the default target.
   template <class F, class = std::enable_if_t<
@@ -244,8 +227,8 @@ class Runtime {
     std::uint64_t race_birth = 0;  ///< EVMP_RACECHECK birth token (0 = off)
   };
 
-  /// Algorithm 1 lines 1-8 (shared by the template and the batch path);
-  /// non-template so one instantiation serves every callable type.
+  /// Algorithm 1 lines 1-8; non-template so one instantiation serves
+  /// every callable type.
   DispatchPlan plan_dispatch(std::string_view tname, Async mode,
                              std::string_view tag);
 
@@ -254,8 +237,7 @@ class Runtime {
   exec::TaskHandle finish_dispatch(exec::CompletionRef state, Async mode,
                                    exec::Executor* executor);
 
-  /// The completion protocol every dispatched block runs under; shared by
-  /// the single and batch paths.
+  /// The completion protocol every dispatched block runs under.
   template <class F>
   static void run_dispatched_block(F& fn, exec::CompletionRef& state,
                                    TagGroup* group, exec::Executor* ex,

@@ -59,32 +59,6 @@ class TargetRef {
                                      std::forward<F>(block));
   }
 
-  // --- batched forms ------------------------------------------------------
-  // A burst of target blocks submitted as one operation: it joins the
-  // backing executor's run list as one chain with one wakeup (see
-  // Runtime::invoke_target_batch). One handle per block, in order.
-
-  /// nowait burst: fire-and-forget the whole batch.
-  std::vector<exec::TaskHandle> nowait_batch(
-      std::vector<exec::Task> blocks) && {
-    return std::move(*this).dispatch_batch(Async::kNowait, {},
-                                           std::move(blocks));
-  }
-
-  /// name_as(tag) burst: fire all, join the tag later with wait_tag(tag).
-  std::vector<exec::TaskHandle> name_as_batch(
-      std::string_view tag, std::vector<exec::Task> blocks) && {
-    return std::move(*this).dispatch_batch(Async::kNameAs, tag,
-                                           std::move(blocks));
-  }
-
-  /// await burst: logical barrier until every block in the batch finished.
-  std::vector<exec::TaskHandle> await_batch(
-      std::vector<exec::Task> blocks) && {
-    return std::move(*this).dispatch_batch(Async::kAwait, {},
-                                           std::move(blocks));
-  }
-
  private:
   template <class F>
   exec::TaskHandle dispatch(Async mode, std::string_view tag, F&& block) && {
@@ -98,15 +72,6 @@ class TargetRef {
     // Task's inline buffer (pre-erasing here would nest Task-in-Task and
     // force the wrapper to the heap on every dispatch).
     return rt_.invoke_target_block(tname_, std::forward<F>(block), mode, tag);
-  }
-
-  std::vector<exec::TaskHandle> dispatch_batch(
-      Async mode, std::string_view tag, std::vector<exec::Task> blocks) && {
-    if (!condition_) {
-      for (auto& block : blocks) block();
-      return {};
-    }
-    return rt_.invoke_target_batch(tname_, std::move(blocks), mode, tag);
   }
 
   Runtime& rt_;

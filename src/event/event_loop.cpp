@@ -37,14 +37,9 @@ void EventLoop::discard(EventNode* node) noexcept {
   NodePool::release(node);
 }
 
-bool EventLoop::enqueue(EventNode* first, EventNode* last, std::size_t n,
-                        const char* what) {
-  if (events_.push_chain(first, last, n)) return true;
-  for (EventNode* node = first; node != nullptr;) {
-    EventNode* next = node == last ? nullptr : node->next.load();
-    discard(node);
-    node = next;
-  }
+bool EventLoop::enqueue(EventNode* node, const char* what) {
+  if (events_.push(node)) return true;
+  discard(node);
   EVMP_LOG_WARN << what << " posted to stopped loop '" << name()
                 << "' was dropped";
   return false;
@@ -52,33 +47,14 @@ bool EventLoop::enqueue(EventNode* first, EventNode* last, std::size_t n,
 
 void EventLoop::post(exec::Task task) {
   EventNode* node = make_node(common::now(), std::move(task), false);
-  if (enqueue(node, node, 1, "event")) wake_parked_members();
-}
-
-void EventLoop::post_batch(std::span<exec::Task> tasks) {
-  if (tasks.empty()) return;
-  const auto posted = common::now();  // one timestamp for the whole burst
-  EventNode* first = nullptr;
-  EventNode* last = nullptr;
-  for (exec::Task& task : tasks) {
-    EventNode* node = make_node(posted, std::move(task), false);
-    if (last == nullptr) {
-      first = node;
-    } else {
-      last->next.store(node, std::memory_order_relaxed);
-    }
-    last = node;
-  }
-  if (!enqueue(first, last, tasks.size(), "batch of events")) return;
-  counters_.add(&EventLoopStats::batch_posts);
-  wake_parked_members();
+  if (enqueue(node, "event")) wake_parked_members();
 }
 
 void EventLoop::post_delayed(exec::Task task, common::Nanos delay) {
   const common::TimePoint due = common::now() + delay;
   EventNode* node = make_node(due, std::move(task), true);
   // The EDT files it and re-reads next_timer_due() before it parks again.
-  if (enqueue(node, node, 1, "delayed event")) wake_parked_members();
+  if (enqueue(node, "delayed event")) wake_parked_members();
 }
 
 void EventLoop::invoke_and_wait(exec::Task task) {

@@ -43,11 +43,9 @@ namespace evmp::event {
 /// The EDT's relaxed counters. dispatched() and busy_time() stay
 /// hand-written: the dispatch count's release bump publishes the busy time.
 struct EventLoopStats {
-  std::uint64_t batch_posts = 0;  ///< post_batch() calls accepted
   std::uint64_t max_nesting = 0;  ///< deepest re-entrant dispatch nesting
 
   static constexpr common::CounterField<EventLoopStats> kFields[] = {
-      {"batch_posts", &EventLoopStats::batch_posts},
       {"max_nesting", &EventLoopStats::max_nesting},
   };
 };
@@ -80,13 +78,6 @@ class EventLoop final : public exec::Executor {
   // --- Executor interface ------------------------------------------------
   /// Enqueue an event handler for execution on the EDT.
   void post(exec::Task task) override;
-
-  /// Enqueue a burst of handlers as one contiguous run with one timestamp
-  /// and one wakeup; dispatch order within the batch matches submission
-  /// order, exactly as N consecutive post() calls from the same thread
-  /// would. Keeps the EDT's global FIFO (single ready queue) — batching
-  /// only amortises the producer-side synchronisation.
-  void post_batch(std::span<exec::Task> tasks) override;
 
   /// EDT-only: dispatch one pending event from inside a running handler
   /// (re-entrant pump). Foreign threads get false.
@@ -146,11 +137,6 @@ class EventLoop final : public exec::Executor {
   [[nodiscard]] int max_nesting() const noexcept {
     return static_cast<int>(counters_.snapshot().max_nesting);
   }
-  /// post_batch() calls accepted (events they carried count in pending()/
-  /// dispatched() as usual).
-  [[nodiscard]] std::uint64_t batch_posts() const noexcept {
-    return counters_.snapshot().batch_posts;
-  }
   /// Distribution of post→dispatch-start delays (EDT responsiveness).
   [[nodiscard]] const common::LatencyHistogram& dispatch_delay() const noexcept {
     return delay_hist_;
@@ -189,10 +175,9 @@ class EventLoop final : public exec::Executor {
                               bool timed);
   /// Destroy the event unrun and recycle its envelope.
   static void discard(EventNode* node) noexcept;
-  /// Push a privately linked run; a refused run is discarded with a
-  /// warning naming `what`.
-  bool enqueue(EventNode* first, EventNode* last, std::size_t n,
-               const char* what);
+  /// Push one event; a refused one is discarded with a warning naming
+  /// `what`.
+  bool enqueue(EventNode* node, const char* what);
   /// EDT-only: push due timers back on the tail, file timed events, and
   /// pop the next immediate event (nullptr when there is none).
   EventNode* next_event();

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -47,17 +46,6 @@ class Executor {
   /// execute the task synchronously inside post() (Algorithm 1 handles the
   /// membership fast-path before posting).
   virtual void post(Task task) = 0;
-
-  /// Submit a burst of tasks in one call, moving each task out of `tasks`.
-  /// Queue-backed executors override this to splice the batch onto their
-  /// run list in one step and notify once per batch instead of once per
-  /// task; the default degrades to per-task post(). Relative order within
-  /// the batch is preserved wherever post() preserves it.
-  virtual void post_batch(std::span<Task> tasks) {
-    for (Task& task : tasks) {
-      post(std::move(task));
-    }
-  }
 
   /// True when the calling thread belongs to this executor's thread group.
   /// The default implementation uses the thread-local binding established

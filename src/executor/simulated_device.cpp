@@ -10,13 +10,13 @@ SimulatedDeviceExecutor::SimulatedDeviceExecutor(std::string device_name,
 // Drain while cfg_ and launches_ are still alive: queued launches read them.
 SimulatedDeviceExecutor::~SimulatedDeviceExecutor() { shutdown(); }
 
+// The task runs preceded by the launch latency and counts as one launch.
 void SimulatedDeviceExecutor::post(Task task) {
-  ThreadPoolExecutor::post(launch(std::move(task)));
-}
-
-void SimulatedDeviceExecutor::post_batch(std::span<Task> tasks) {
-  for (Task& task : tasks) task = launch(std::move(task));
-  ThreadPoolExecutor::post_batch(tasks);
+  ThreadPoolExecutor::post(Task([this, task = std::move(task)]() mutable {
+    common::precise_sleep(cfg_.launch_latency);
+    launches_.fetch_add(1, std::memory_order_relaxed);
+    task();
+  }));
 }
 
 void SimulatedDeviceExecutor::sleep_for_bytes(std::uint64_t bytes) const {
@@ -32,14 +32,6 @@ void SimulatedDeviceExecutor::transfer_to_device(std::uint64_t bytes) {
 void SimulatedDeviceExecutor::transfer_from_device(std::uint64_t bytes) {
   sleep_for_bytes(bytes);
   from_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-Task SimulatedDeviceExecutor::launch(Task task) {
-  return Task([this, task = std::move(task)]() mutable {
-    common::precise_sleep(cfg_.launch_latency);
-    launches_.fetch_add(1, std::memory_order_relaxed);
-    task();
-  });
 }
 
 }  // namespace evmp::exec

@@ -18,7 +18,7 @@ namespace evmp::exec {
 
 /// Single-threaded "device" with kernel-launch latency and a bandwidth model
 /// for map(to:)/map(from:) transfers. A one-thread ThreadPoolExecutor whose
-/// submissions wrap each task in its launch: the wrapper costs one heap
+/// post wraps each task in its launch: the wrapper costs one heap
 /// allocation per device post, which device dispatch can afford.
 class SimulatedDeviceExecutor final : public ThreadPoolExecutor {
  public:
@@ -35,7 +35,6 @@ class SimulatedDeviceExecutor final : public ThreadPoolExecutor {
   ~SimulatedDeviceExecutor() override;
 
   void post(Task task) override;
-  void post_batch(std::span<Task> tasks) override;
 
   [[nodiscard]] int device_id() const noexcept { return device_id_; }
 
@@ -57,8 +56,6 @@ class SimulatedDeviceExecutor final : public ThreadPoolExecutor {
   }
 
  private:
-  /// `task` preceded by the launch latency and counted as one launch.
-  Task launch(Task task);
   void sleep_for_bytes(std::uint64_t bytes) const;
 
   const int device_id_;

@@ -5,7 +5,6 @@
 // a post allocates nothing.
 
 #include <atomic>
-#include <span>
 #include <utility>
 
 #include "common/mpsc_list.hpp"
@@ -41,36 +40,5 @@ inline Task unwrap(TaskNode* node) noexcept {
   TaskNodePool::release(node);
   return task;
 }
-
-/// A run of envelopes linked in order through `next`, ready for
-/// MpscList::push_chain.
-struct TaskChain {
-  TaskNode* first = nullptr;
-  TaskNode* last = nullptr;
-
-  /// Wrap every task of `tasks` (moving each out), in order.
-  explicit TaskChain(std::span<Task> tasks) {
-    for (Task& task : tasks) {
-      TaskNode* node = make_node(std::move(task));
-      node->next.store(nullptr, std::memory_order_relaxed);
-      if (last == nullptr) {
-        first = node;
-      } else {
-        last->next.store(node, std::memory_order_relaxed);
-      }
-      last = node;
-    }
-  }
-
-  /// Destroy the tasks unrun and recycle the envelopes (a refused push).
-  void drop() noexcept {
-    for (TaskNode* node = first; node != nullptr;) {
-      TaskNode* next = node->next.load(std::memory_order_relaxed);
-      (void)unwrap(node);
-      node = next;
-    }
-    first = last = nullptr;
-  }
-};
 
 }  // namespace evmp::exec

@@ -25,36 +25,16 @@ void ThreadPoolExecutor::post(Task task) {
     return;
   }
   counters_.add(&common::ShardedQueueStats::pushes);
-  pushed(false);
+  pushed();
 }
 
-void ThreadPoolExecutor::post_batch(std::span<Task> tasks) {
-  if (tasks.empty()) return;
-  TaskChain chain(tasks);
-  if (!queue_.push_chain(chain.first, chain.last, tasks.size())) {
-    chain.drop();
-    EVMP_LOG_WARN << "batch of " << tasks.size() << " tasks posted to "
-                  << "shut-down pool '" << name() << "' was dropped";
-    return;
-  }
-  counters_.add(&common::ShardedQueueStats::batch_pushes);
-  counters_.add(&common::ShardedQueueStats::batch_items, tasks.size());
-  pushed(true);
-}
-
-void ThreadPoolExecutor::pushed(bool batch) noexcept {
+void ThreadPoolExecutor::pushed() noexcept {
   counters_.raise(&common::ShardedQueueStats::max_depth, queue_.size());
   // The task is counted before the waiter count is read; a worker counts
   // itself a waiter before it re-reads the list (store buffering, DESIGN.md
   // §9.2), so either it sees the task or this notify reaches it.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (idle_.has_waiters()) {
-    if (batch) {
-      idle_.notify_all();  // a batch may satisfy many parked workers
-    } else {
-      idle_.notify_one();
-    }
-  }
+  if (idle_.has_waiters()) idle_.notify_one();
   wake_parked_members();
 }
 

@@ -19,17 +19,13 @@ namespace evmp::common {
 /// published at shutdown as "<pool>.<name>". Benchmark harnesses read the
 /// struct by this name.
 struct ShardedQueueStats {
-  std::uint64_t pushes = 0;        ///< single-task posts accepted
-  std::uint64_t batch_pushes = 0;  ///< post_batch() calls accepted
-  std::uint64_t batch_items = 0;   ///< tasks admitted via post_batch()
-  std::uint64_t steals = 0;        ///< always 0: there is one list
-  std::uint64_t collisions = 0;    ///< pops answered kBusy (consumer held)
-  std::uint64_t max_depth = 0;     ///< deepest the list read after a push
+  std::uint64_t pushes = 0;      ///< posts accepted
+  std::uint64_t steals = 0;      ///< always 0: there is one list
+  std::uint64_t collisions = 0;  ///< pops answered kBusy (consumer held)
+  std::uint64_t max_depth = 0;   ///< deepest the list read after a push
 
   static constexpr CounterField<ShardedQueueStats> kFields[] = {
       {"posts", &ShardedQueueStats::pushes},
-      {"batch_posts", &ShardedQueueStats::batch_pushes},
-      {"batch_items", &ShardedQueueStats::batch_items},
       {"steals", &ShardedQueueStats::steals},
       {"collisions", &ShardedQueueStats::collisions},
       {"max_depth", &ShardedQueueStats::max_depth},
@@ -42,7 +38,7 @@ namespace evmp::exec {
 
 /// A named pool of `m` worker threads sharing one FIFO run list.
 ///
-/// Posts and batches go to a common::MpscList with no lock; the workers
+/// Posts go to a common::MpscList with no lock; the workers
 /// take turns on its consumer side. A worker turned away by a busy
 /// consumer side looks again at once; one that finds the list empty climbs
 /// the common::SpinWait ladder and then parks on a common::EventCount
@@ -60,9 +56,6 @@ class ThreadPoolExecutor : public Executor {
   ~ThreadPoolExecutor() override;
 
   void post(Task task) override;
-  /// The whole batch joins the list as one contiguous run, in order, with
-  /// one notify.
-  void post_batch(std::span<Task> tasks) override;
   bool try_run_one() override;
   [[nodiscard]] std::size_t concurrency() const noexcept override;
   [[nodiscard]] std::size_t pending() const override;
@@ -72,7 +65,7 @@ class ThreadPoolExecutor : public Executor {
   /// queue counters to common::Tracer under "<name>.<counter>".
   void shutdown();
 
-  /// Run-list counters (posts, batches, consumer collisions, depth).
+  /// Run-list counters (posts, consumer collisions, depth).
   [[nodiscard]] common::ShardedQueueStats queue_stats() const noexcept {
     return counters_.snapshot();
   }
@@ -80,9 +73,9 @@ class ThreadPoolExecutor : public Executor {
  private:
   /// try_pop, counting kBusy answers as collisions.
   TaskList::Pop take(TaskNode*& out) noexcept;
-  /// After a push: record the depth, then wake a parked worker (all of
-  /// them for a batch) and any parked member.
-  void pushed(bool batch) noexcept;
+  /// After a push: record the depth, then wake a parked worker and any
+  /// parked member.
+  void pushed() noexcept;
   void worker_main();
 
   TaskList queue_;

@@ -80,39 +80,6 @@ void WorkStealingExecutor::post(Task task) {
   wake_parked_members();
 }
 
-void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
-  if (tasks.empty()) return;
-  if (stopping_.load(std::memory_order_acquire)) {
-    EVMP_LOG_WARN << "batch of " << tasks.size()
-                  << " tasks posted to shut-down stealing pool '" << name()
-                  << "' was dropped";
-    return;
-  }
-  const int self = current_worker_index();
-  if (self >= 0) {
-    // Own deque: append in order behind existing work, like N posts.
-    auto& deque = workers_[static_cast<std::size_t>(self)]->deque;
-    for (Task& task : tasks) deque.push_bottom(make_node(std::move(task)));
-  } else {
-    // Foreign burst: link the nodes privately in order, then splice the
-    // whole chain with one exchange, so the batch stays FIFO.
-    TaskChain chain(tasks);
-    if (!injected_.push_chain(chain.first, chain.last, tasks.size())) {
-      chain.drop();
-      EVMP_LOG_WARN << "batch of " << tasks.size()
-                    << " tasks posted to shut-down stealing pool '" << name()
-                    << "' was dropped";
-      return;
-    }
-  }
-  // The nodes are visible before wake_parked_members() reads the registry
-  // (pairs with a parked member's fenced re-check; see post()).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  counters_.add(&WorkStealingStats::batch_posts);
-  idle_.notify_all();  // a batch may satisfy many parked workers
-  wake_parked_members();
-}
-
 TaskNode* WorkStealingExecutor::pop_injected() noexcept {
   TaskNode* node = nullptr;
   switch (injected_.try_pop(node)) {

@@ -17,8 +17,7 @@
 //    between their own deque and stealing: the common::MpscList every
 //    executor queues on, of the same TaskNodes. A foreign post is one
 //    counter bump, one exchange on the list head and one link store — no
-//    lock — and a foreign batch splices its privately linked chain with
-//    one exchange. A worker that finds the consumer side busy moves on to
+//    lock. A worker that finds the consumer side busy moves on to
 //    stealing (or parks) instead of blocking, and a consumer whose pop
 //    misses wakes a parked worker if nodes remain counted;
 //  * at most max(1, workers/2) idle workers search (climb the spin ladder
@@ -73,13 +72,12 @@ struct WorkStealingStats {
   /// Taken from the foreign-submission injection list.
   std::uint64_t injection_pops = 0;
   /// Notifies that reached a counted waiter of the parking event count
-  /// (futex wakes issued for single tasks; post_batch and shutdown wake
-  /// all waiters and are not counted).
+  /// (futex wakes issued through wake_one(); shutdown wakes all waiters
+  /// and is not counted).
   std::uint64_t wakes = 0;
   /// Exits from the event count's waiter set (commit or cancel). At most
   /// one wake is in flight, so wakes <= idle_exits + 1.
   std::uint64_t idle_exits = 0;
-  std::uint64_t batch_posts = 0;  ///< post_batch() calls accepted
   /// Workers successfully pinned to their CPU (0 unless EVMP_PIN=1).
   std::uint64_t pinned_workers = 0;
 
@@ -89,7 +87,6 @@ struct WorkStealingStats {
       {"injection_pops", &WorkStealingStats::injection_pops},
       {"wakes", &WorkStealingStats::wakes},
       {"idle_exits", &WorkStealingStats::idle_exits},
-      {"batch_posts", &WorkStealingStats::batch_posts},
       {"pinned_workers", &WorkStealingStats::pinned_workers},
   };
 };
@@ -104,11 +101,6 @@ class WorkStealingExecutor final : public Executor {
   ~WorkStealingExecutor() override;
 
   void post(Task task) override;
-  /// Admit a burst: a worker thread appends to its own deque in order (the
-  /// same state as N posts); a foreign thread splices the whole batch into
-  /// the injection list with one exchange and one wakeup, preserving FIFO
-  /// order within the batch.
-  void post_batch(std::span<Task> tasks) override;
   bool try_run_one() override;
   [[nodiscard]] std::size_t concurrency() const noexcept override;
   [[nodiscard]] std::size_t pending() const override;
@@ -130,9 +122,6 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::uint64_t wakes() const noexcept { return stats().wakes; }
   [[nodiscard]] std::uint64_t injection_pops() const noexcept {
     return stats().injection_pops;
-  }
-  [[nodiscard]] std::uint64_t batch_posts() const noexcept {
-    return stats().batch_posts;
   }
   [[nodiscard]] std::uint64_t pinned_workers() const noexcept {
     return stats().pinned_workers;

@@ -17,18 +17,6 @@ void JettyConnector::submit(Request request, ResponseCallback on_done) {
   });
 }
 
-void JettyConnector::submit_batch(std::vector<Request> requests,
-                                  ResponseCallback on_done) {
-  std::vector<exec::Task> tasks;
-  tasks.reserve(requests.size());
-  for (auto& request : requests) {
-    tasks.emplace_back([this, req = std::move(request), cb = on_done] {
-      cb(handler_(req));
-    });
-  }
-  pool_.post_batch(tasks);
-}
-
 PyjamaConnector::PyjamaConnector(int worker_threads, RequestHandler handler)
     : handler_(std::move(handler)),
       dispatcher_(std::make_unique<event::EventLoop>("http-dispatcher")) {
@@ -60,25 +48,6 @@ void PyjamaConnector::submit(Request request, ResponseCallback on_done) {
               done(handler_(r));
             });
       });
-}
-
-void PyjamaConnector::submit_batch(std::vector<Request> requests,
-                                   ResponseCallback on_done) {
-  // One dispatcher event per burst; the dispatcher then performs one
-  // batched nowait offload for the whole burst, so a client's pipeline
-  // costs two lock acquisitions end to end instead of 2·N.
-  dispatcher_->post([this, reqs = std::move(requests),
-                     cb = std::move(on_done)]() mutable {
-    std::vector<exec::Task> blocks;
-    blocks.reserve(reqs.size());
-    for (auto& req : reqs) {
-      blocks.emplace_back([this, r = std::move(req), done = cb] {
-        done(handler_(r));
-      });
-    }
-    // //#omp target virtual(worker) nowait  — per burst, not per request
-    rt_.target("worker").nowait_batch(std::move(blocks));
-  });
 }
 
 }  // namespace evmp::http

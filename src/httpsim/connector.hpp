@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/runtime.hpp"
 #include "event/event_loop.hpp"
@@ -30,17 +29,6 @@ class Connector {
   /// ready (possibly on a connector thread). Thread-safe.
   virtual void submit(Request request, ResponseCallback on_done) = 0;
 
-  /// Accept a burst of pipelined requests from one client; `on_done` fires
-  /// once per request. Connectors that can, admit the whole burst into
-  /// their run list as one chain (Executor::post_batch); the default
-  /// degrades to per-request submit(). Thread-safe.
-  virtual void submit_batch(std::vector<Request> requests,
-                            ResponseCallback on_done) {
-    for (auto& request : requests) {
-      submit(std::move(request), on_done);
-    }
-  }
-
   /// Connector architecture name for reports.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
@@ -54,9 +42,6 @@ class JettyConnector final : public Connector {
   JettyConnector(int worker_threads, RequestHandler handler);
 
   void submit(Request request, ResponseCallback on_done) override;
-  /// One pool-queue lock + one wakeup for the whole burst.
-  void submit_batch(std::vector<Request> requests,
-                    ResponseCallback on_done) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "jetty";
   }
@@ -77,11 +62,6 @@ class PyjamaConnector final : public Connector {
   ~PyjamaConnector() override;
 
   void submit(Request request, ResponseCallback on_done) override;
-  /// One dispatcher event for the whole burst; the dispatcher offloads it
-  /// to the worker target as a single nowait batch (one chain splice, one
-  /// wakeup) instead of per-request posts.
-  void submit_batch(std::vector<Request> requests,
-                    ResponseCallback on_done) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "pyjama";
   }

@@ -30,56 +30,32 @@ HttpLoadResult run_virtual_users(Connector& connector,
         for (auto& b : payload) {
           b = static_cast<std::uint8_t>(rng.next_below(256));
         }
-        const int burst = options.burst < 1 ? 1 : options.burst;
-        for (int r = 0; r < options.requests_per_user;) {
-          const int n = std::min(burst, options.requests_per_user - r);
-          std::vector<Request> batch;
-          batch.reserve(static_cast<std::size_t>(n));
-          for (int b = 0; b < n; ++b) {
-            Request req;
-            req.id = static_cast<std::uint64_t>(u) * 1'000'000u +
-                     static_cast<std::uint64_t>(r + b);
-            req.user = static_cast<std::uint64_t>(u);
-            req.payload = payload;
-            req.arrived = common::now();
-            batch.push_back(std::move(req));
-          }
-          r += n;
+        for (int r = 0; r < options.requests_per_user; ++r) {
+          Request req;
+          req.id = static_cast<std::uint64_t>(u) * 1'000'000u +
+                   static_cast<std::uint64_t>(r);
+          req.user = static_cast<std::uint64_t>(u);
+          req.payload = payload;
+          req.arrived = common::now();
+          const auto sent = req.arrived;
 
-          const auto sent = batch.front().arrived;
-
-          // Closed loop per burst: block this user until every response of
-          // its pipelined burst arrives (n == 1 is the paper's strict
-          // one-request-in-flight client).
-          common::CountdownLatch done(static_cast<std::size_t>(n));
-          std::mutex burst_mu;
-          std::uint64_t burst_failed = 0;
-          auto on_response = [&](const Response& resp) {
+          // Closed loop: block this user until its response arrives (the
+          // paper's strict one-request-in-flight client).
+          common::CountdownLatch done(1);
+          connector.submit(std::move(req), [&](const Response& resp) {
             const auto now_tp = common::now();
             // Wait-free record path: no lock around the histogram.
             hist.record(static_cast<std::uint64_t>(
                 std::max<std::int64_t>(1, (now_tp - sent).count())));
             {
-              std::scoped_lock lk(burst_mu);
-              if (!resp.ok) ++burst_failed;
-            }
-            {
               std::scoped_lock lk(result_mu);
               ++result.completed;
+              if (!resp.ok) ++result.failed;
               if (now_tp > last_response) last_response = now_tp;
             }
             done.count_down();
-          };
-          if (n == 1) {
-            connector.submit(std::move(batch.front()), on_response);
-          } else {
-            connector.submit_batch(std::move(batch), on_response);
-          }
+          });
           done.wait();
-          if (burst_failed != 0) {
-            std::scoped_lock lk(result_mu);
-            result.failed += burst_failed;
-          }
         }
       });
     }

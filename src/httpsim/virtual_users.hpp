@@ -28,19 +28,11 @@ struct VirtualUserOptions {
   int requests_per_user = 10;    ///< constant per-user request count
   std::size_t payload_bytes = 4096;
   std::uint64_t seed = 7;
-  /// Requests each user pipelines per round trip. 1 reproduces the paper's
-  /// strict closed loop (send one, wait for its response). Larger values
-  /// model HTTP pipelining/multiplexed clients: the user submits `burst`
-  /// requests as one Connector::submit_batch and waits for all responses
-  /// of the burst before the next round. requests_per_user still bounds
-  /// the per-user total (a final short burst covers the remainder).
-  int burst = 1;
 };
 
 /// Drive `connector` with `users` concurrent users, each sending
 /// `requests_per_user` back-to-back requests (a user waits for its response
-/// before sending the next; with options.burst > 1, for the whole pipelined
-/// burst). Blocks until every response arrived.
+/// before sending the next). Blocks until every response arrived.
 HttpLoadResult run_virtual_users(Connector& connector,
                                  const VirtualUserOptions& options);
 

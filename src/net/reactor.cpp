@@ -60,18 +60,6 @@ void Reactor::post(exec::Task task) {
   }
 }
 
-void Reactor::post_batch(std::span<exec::Task> tasks) {
-  if (tasks.empty()) return;
-  exec::TaskChain chain(tasks);
-  if (!tasks_.push_chain(chain.first, chain.last, tasks.size())) {
-    chain.drop();
-    EVMP_LOG_WARN << "batch of " << tasks.size() << " tasks posted to "
-                  << "stopped reactor '" << name() << "' was dropped";
-    return;
-  }
-  wake();
-}
-
 bool Reactor::try_post(exec::Task task) {
   exec::TaskNode* node = exec::make_node(std::move(task));
   if (!tasks_.push(node)) {

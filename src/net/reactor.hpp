@@ -95,7 +95,6 @@ class Reactor final : public exec::Executor {
   // --- Executor interface ----------------------------------------------
   /// Enqueue a task for the reactor thread and wake it. Thread-safe.
   void post(exec::Task task) override;
-  void post_batch(std::span<exec::Task> tasks) override;
 
   /// As post(), but a task refused because the reactor already stopped is
   /// reported with `false` instead of a warning — for teardown paths where

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -11,7 +10,6 @@
 
 #include "common/deadline_heap.hpp"
 #include "common/mpsc_list.hpp"
-#include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "executor/executor.hpp"
 
@@ -20,64 +18,47 @@ namespace {
 
 // --- MpscList --------------------------------------------------------------
 
-// A test node: which producer pushed it, its place in that producer's
-// sequence, and whether it opened or continued a chain.
+// A test node: which producer pushed it and its place in that producer's
+// sequence.
 struct Item {
   int producer = 0;
   int seq = 0;
-  bool in_chain = false;  ///< follows its predecessor inside one chain
   bool accepted = false;  ///< its push returned true
   std::atomic<int> pops{0};
   std::atomic<Item*> next{nullptr};
 };
 using List = MpscList<Item>;
 
-// Producer `p` pushes `items` (already sized) in order, as single pushes
-// and chains of 2..8 mixed at random. `before_push` runs before each push
-// and returns whether close() had returned; a push that starts after that
-// must be refused. The producer stops at its first refusal. Returns the
-// number of items accepted.
+// Producer `p` pushes `items` (already sized) in order, one push per item.
+// `before_push` runs before each push and returns whether close() had
+// returned; a push that starts after that must be refused. The producer
+// stops at its first refusal. Returns the number of items accepted.
 template <class BeforePush>
 std::size_t produce(List& list, std::vector<Item>& items, std::size_t p,
                     BeforePush before_push) {
-  Xoshiro256 rng(p + 1);
   std::size_t i = 0;
-  while (i < items.size()) {
-    std::size_t n = 1;
-    if (rng.next_below(2) != 0) {
-      n = std::min<std::size_t>(items.size() - i, 2 + rng.next_below(7));
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      Item& item = items[i + k];
-      item.producer = static_cast<int>(p);
-      item.seq = static_cast<int>(i + k);
-      item.in_chain = k != 0;
-      if (k != 0) items[i + k - 1].next.store(&item, std::memory_order_relaxed);
-    }
+  for (; i < items.size(); ++i) {
+    Item& item = items[i];
+    item.producer = static_cast<int>(p);
+    item.seq = static_cast<int>(i);
     const bool saw_closed = before_push();
-    const bool ok = list.push_chain(&items[i], &items[i + n - 1], n);
-    if (!ok) break;
+    if (!list.push(&item)) break;
     if (saw_closed) {
       ADD_FAILURE() << "push after close() accepted: producer " << p
                     << " item " << i;
       break;
     }
-    for (std::size_t k = 0; k < n; ++k) items[i + k].accepted = true;
-    i += n;
+    item.accepted = true;
   }
   return i;
 }
 
-TEST(MpscList, FifoSingleThreadWithChains) {
+TEST(MpscList, FifoSingleThread) {
   List list;
   std::vector<Item> items(5);
   Item* out = nullptr;
   EXPECT_EQ(list.try_pop(out), List::Pop::kEmpty);
-  ASSERT_TRUE(list.push(&items[0]));
-  items[1].next.store(&items[2]);
-  items[2].next.store(&items[3]);
-  ASSERT_TRUE(list.push_chain(&items[1], &items[3], 3));
-  ASSERT_TRUE(list.push(&items[4]));
+  for (Item& item : items) ASSERT_TRUE(list.push(&item));
   EXPECT_EQ(list.size(), 5u);
   for (Item& expected : items) {
     ASSERT_EQ(list.try_pop(out), List::Pop::kTaken);
@@ -109,16 +90,15 @@ TEST(MpscList, BusyWhileConsumerSideHeld) {
   list.unlock_consumer();
 }
 
-TEST(MpscList, CloseRefusesPushesAndChains) {
+TEST(MpscList, CloseRefusesPushes) {
   List list;
-  std::vector<Item> items(4);
+  std::vector<Item> items(3);
   ASSERT_TRUE(list.push(&items[0]));
   list.close();
   list.close();  // idempotent
   EXPECT_TRUE(list.closed());
   EXPECT_FALSE(list.push(&items[1]));
-  items[2].next.store(&items[3]);
-  EXPECT_FALSE(list.push_chain(&items[2], &items[3], 2));
+  EXPECT_FALSE(list.push(&items[2]));
   EXPECT_EQ(list.size(), 1u);
   std::vector<Item*> drained;
   list.drain([&](Item* item) { drained.push_back(item); });
@@ -165,7 +145,7 @@ TEST(MpscList, ExactlyOnceFourProducersTwoConsumers) {
   }
 }
 
-TEST(MpscList, FifoPerProducerAndChainsStayContiguous) {
+TEST(MpscList, FifoPerProducer) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 20000;
   List list;
@@ -173,7 +153,6 @@ TEST(MpscList, FifoPerProducerAndChainsStayContiguous) {
   for (auto& v : items) v = std::vector<Item>(kPerProducer);
   std::vector<int> next_seq(kProducers, 0);
   std::size_t popped = 0;
-  const Item* prev = nullptr;
   {
     std::vector<std::jthread> threads;
     for (std::size_t p = 0; p < kProducers; ++p) {
@@ -186,12 +165,6 @@ TEST(MpscList, FifoPerProducerAndChainsStayContiguous) {
       const auto p = static_cast<std::size_t>(out->producer);
       ASSERT_EQ(out->seq, next_seq[p]) << "producer " << p;
       ++next_seq[p];
-      if (out->in_chain) {
-        // Nothing from another producer lands inside a chain.
-        ASSERT_EQ(prev, &items[p][static_cast<std::size_t>(out->seq) - 1])
-            << "producer " << p << " seq " << out->seq;
-      }
-      prev = out;
     }
   }
 }

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -433,6 +435,45 @@ TEST(Cli, FallbacksWhenAbsentOrMalformed) {
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
   const auto list = args.get_long_list("missing", {4, 5});
   ASSERT_EQ(list.size(), 2u);
+}
+
+// Write `text` to `name` under the test temp directory; returns its path.
+std::string write_budget_file(const std::string& name,
+                              const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+TEST(Cli, ReadBudgetFailsOnMissingFile) {
+  const std::string path = ::testing::TempDir() + "no_such_budgets.json";
+  EXPECT_FALSE(read_budget(path, "allocs_per_nowait_dispatch").has_value());
+}
+
+TEST(Cli, ReadBudgetFailsOnMissingKey) {
+  // A key that only prefixes a present one is missing too.
+  const std::string path = write_budget_file(
+      "budgets_missing_key.json", R"({"net_smoke_p99_ms": 250.0})");
+  EXPECT_FALSE(read_budget(path, "net_smoke_shed_rate").has_value());
+  EXPECT_FALSE(read_budget(path, "net_smoke_p99").has_value());
+}
+
+TEST(Cli, ReadBudgetFailsOnNonNumericValue) {
+  const std::string path = write_budget_file(
+      "budgets_non_numeric.json",
+      R"({"a": "four", "b": null, "c": nan, "d": })");
+  for (const char* key : {"a", "b", "c", "d"}) {
+    EXPECT_FALSE(read_budget(path, key).has_value()) << key;
+  }
+}
+
+TEST(Cli, ReadBudgetReadsPresentKey) {
+  const std::string path = write_budget_file(
+      "budgets_present.json",
+      R"({"_comment": "net_smoke_p99_ms is a latency budget",)"
+      R"( "net_smoke_p99_ms": 250.0, "net_smoke_shed_rate": 0.0})");
+  EXPECT_EQ(read_budget(path, "net_smoke_p99_ms"), 250.0);
+  EXPECT_EQ(read_budget(path, "net_smoke_shed_rate"), 0.0);
 }
 
 }  // namespace

@@ -454,106 +454,6 @@ TEST_F(RuntimeTest, StatsCountModes) {
   EXPECT_EQ(stats.awaits, 1u);
 }
 
-TEST_F(RuntimeTest, BatchNowaitRunsEveryBlock) {
-  rt_.reset_stats();
-  std::atomic<int> done{0};
-  std::vector<exec::Task> blocks;
-  for (int i = 0; i < 8; ++i) {
-    blocks.emplace_back([&] { done.fetch_add(1); });
-  }
-  auto handles =
-      rt_.invoke_target_batch("worker", std::move(blocks), Async::kNowait);
-  ASSERT_EQ(handles.size(), 8u);
-  for (auto& handle : handles) {
-    ASSERT_TRUE(handle.valid());
-    handle.wait();
-  }
-  EXPECT_EQ(done.load(), 8);
-  const auto stats = rt_.stats();
-  EXPECT_EQ(stats.posted, 8u);
-  EXPECT_EQ(stats.batch_posts, 1u);
-}
-
-TEST_F(RuntimeTest, BatchNameAsJoinsViaWaitTag) {
-  std::atomic<int> done{0};
-  std::vector<exec::Task> blocks;
-  for (int i = 0; i < 6; ++i) {
-    blocks.emplace_back([&] {
-      common::precise_sleep(common::Millis{2});
-      done.fetch_add(1);
-    });
-  }
-  rt_.invoke_target_batch("worker", std::move(blocks), Async::kNameAs,
-                          "burst");
-  rt_.wait_tag("burst");
-  // Same join guarantee as N individual name_as posts (§III-C).
-  EXPECT_EQ(done.load(), 6);
-}
-
-TEST_F(RuntimeTest, BatchAwaitBlocksUntilAllFinish) {
-  std::atomic<int> done{0};
-  std::vector<exec::Task> blocks;
-  for (int i = 0; i < 4; ++i) {
-    blocks.emplace_back([&] {
-      common::precise_sleep(common::Millis{2});
-      done.fetch_add(1);
-    });
-  }
-  rt_.invoke_target_batch("worker", std::move(blocks), Async::kAwait);
-  EXPECT_EQ(done.load(), 4);
-}
-
-TEST_F(RuntimeTest, BatchFromMemberThreadRunsInline) {
-  rt_.reset_stats();
-  std::atomic<int> done{0};
-  rt_.invoke_target_block(
-      "worker",
-      [&] {
-        std::vector<exec::Task> blocks;
-        const auto worker_thread = std::this_thread::get_id();
-        for (int i = 0; i < 3; ++i) {
-          blocks.emplace_back([&, worker_thread] {
-            if (std::this_thread::get_id() == worker_thread) {
-              done.fetch_add(1);
-            }
-          });
-        }
-        // Membership fast path applies to the whole batch.
-        auto handles = rt_.invoke_target_batch("worker", std::move(blocks),
-                                               Async::kNowait);
-        EXPECT_TRUE(handles.empty());
-      },
-      Async::kDefault);
-  EXPECT_EQ(done.load(), 3);
-  EXPECT_GE(rt_.stats().inline_fast_path, 3u);
-}
-
-TEST_F(RuntimeTest, FluentBatchModes) {
-  std::atomic<int> done{0};
-  std::vector<exec::Task> blocks;
-  for (int i = 0; i < 5; ++i) {
-    blocks.emplace_back([&] { done.fetch_add(1); });
-  }
-  auto handles = rt_.target("worker").nowait_batch(std::move(blocks));
-  for (auto& handle : handles) handle.wait();
-  EXPECT_EQ(done.load(), 5);
-
-  blocks.clear();
-  for (int i = 0; i < 5; ++i) {
-    blocks.emplace_back([&] { done.fetch_add(1); });
-  }
-  rt_.target("worker").name_as_batch("fb", std::move(blocks));
-  rt_.wait_tag("fb");
-  EXPECT_EQ(done.load(), 10);
-
-  blocks.clear();
-  for (int i = 0; i < 5; ++i) {
-    blocks.emplace_back([&] { done.fetch_add(1); });
-  }
-  rt_.target("worker").await_batch(std::move(blocks));
-  EXPECT_EQ(done.load(), 15);
-}
-
 TEST_F(RuntimeTest, FluentTargetRefModes) {
   std::atomic<int> value{0};
   rt_.target("worker").run([&] { value.store(1); });

@@ -31,34 +31,6 @@ TEST(EventLoop, DispatchesPostedEvents) {
   EXPECT_EQ(loop.dispatched(), 10u);
 }
 
-TEST(EventLoop, PostBatchDispatchesInSubmissionOrder) {
-  EventLoop loop;
-  loop.start();
-  std::vector<int> order;
-  std::vector<exec::Task> batch;
-  for (int i = 0; i < 16; ++i) {
-    batch.emplace_back([&order, i] { order.push_back(i); });
-  }
-  loop.post_batch(batch);
-  loop.wait_until_idle();
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  EXPECT_EQ(loop.dispatched(), 16u);
-  EXPECT_EQ(loop.batch_posts(), 1u);
-}
-
-TEST(EventLoop, PostBatchToStoppedLoopIsDropped) {
-  EventLoop loop;
-  loop.start();
-  loop.stop();
-  std::atomic<bool> ran{false};
-  std::vector<exec::Task> batch;
-  batch.emplace_back([&] { ran.store(true); });
-  loop.post_batch(batch);
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(ran.load());
-}
-
 TEST(EventLoop, FifoDispatchOrder) {
   EventLoop loop;
   loop.start();
@@ -69,6 +41,7 @@ TEST(EventLoop, FifoDispatchOrder) {
   loop.wait_until_idle();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  EXPECT_EQ(loop.dispatched(), 16u);
 }
 
 TEST(EventLoop, IsDispatchThread) {
@@ -232,22 +205,11 @@ TEST(EventLoop, ResetStatsClears) {
     std::this_thread::yield();
   }
   ASSERT_EQ(loop.dispatched(), 1u);
+  ASSERT_EQ(loop.max_nesting(), 1);
   loop.reset_stats();
   EXPECT_EQ(loop.dispatched(), 0u);
   EXPECT_EQ(loop.dispatch_delay().total_count(), 0u);
   EXPECT_EQ(loop.busy_time().count(), 0);
-}
-
-TEST(EventLoop, ResetStatsClearsBatchPosts) {
-  EventLoop loop;
-  loop.start();
-  std::vector<exec::Task> batch;
-  batch.emplace_back([] {});
-  loop.post_batch(batch);
-  loop.wait_until_idle();
-  ASSERT_EQ(loop.batch_posts(), 1u);
-  loop.reset_stats();
-  EXPECT_EQ(loop.batch_posts(), 0u);
   EXPECT_EQ(loop.max_nesting(), 0);
 }
 
@@ -474,17 +436,13 @@ TEST(OpenLoopDriver, PoissonArrivalsStillCountEverything) {
 TEST(EventLoop, StopPublishesCounters) {
   EventLoop loop("publish_edt");
   loop.start();
-  for (int i = 0; i < 5; ++i) loop.post([] {});
-  std::vector<exec::Task> batch;
-  for (int i = 0; i < 3; ++i) batch.emplace_back([] {});
-  loop.post_batch(batch);
+  for (int i = 0; i < 8; ++i) loop.post([] {});
   loop.wait_until_idle();
   loop.stop();
   EXPECT_EQ(loop.dispatched(), 8u);
   const auto rows = common::Tracer::instance().counters();
   const std::pair<const char*, std::uint64_t> expected[] = {
       {"publish_edt.dispatched", loop.dispatched()},
-      {"publish_edt.batch_posts", loop.batch_posts()},
       {"publish_edt.max_nesting",
        static_cast<std::uint64_t>(loop.max_nesting())},
   };

@@ -259,71 +259,6 @@ TEST(ThreadPool, TasksExecutedCounter) {
   EXPECT_EQ(pool.tasks_executed(), 10u);
 }
 
-TEST(ThreadPool, PostBatchRunsAllTasks) {
-  ThreadPoolExecutor pool("p", 3);
-  std::atomic<int> count{0};
-  common::CountdownLatch latch(64);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.emplace_back([&] {
-      count.fetch_add(1);
-      latch.count_down();
-    });
-  }
-  pool.post_batch(tasks);
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
-  EXPECT_EQ(count.load(), 64);
-  const auto s = pool.queue_stats();
-  EXPECT_EQ(s.batch_pushes, 1u);
-  EXPECT_EQ(s.batch_items, 64u);
-}
-
-TEST(ThreadPool, PostBatchEquivalentToIndividualPosts) {
-  // Same observable effect as N posts from one producer: every task runs,
-  // in submission order on a single-thread pool.
-  ThreadPoolExecutor pool("p", 1);
-  std::vector<int> order;
-  common::CountdownLatch latch(20);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 20; ++i) {
-    tasks.emplace_back([&, i] {
-      order.push_back(i);  // single worker: no race
-      latch.count_down();
-    });
-  }
-  pool.post_batch(tasks);
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  ASSERT_EQ(order.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  pool.shutdown();  // counter increments after the task body returns
-  EXPECT_EQ(pool.tasks_executed(), 20u);
-}
-
-TEST(ThreadPool, PostBatchAfterShutdownIsDropped) {
-  ThreadPoolExecutor pool("p", 1);
-  pool.shutdown();
-  std::atomic<bool> ran{false};
-  std::vector<Task> tasks;
-  tasks.emplace_back([&] { ran.store(true); });
-  pool.post_batch(tasks);
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(ran.load());
-}
-
-TEST(ThreadPool, ShutdownDrainsBatchedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPoolExecutor pool("p", 2);
-    std::vector<Task> tasks;
-    for (int i = 0; i < 50; ++i) {
-      tasks.emplace_back([&] { count.fetch_add(1); });
-    }
-    pool.post_batch(tasks);
-    pool.shutdown();
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ThreadPool, ManyProducersSpreadOverShards) {
   ThreadPoolExecutor pool("p", 4);
   constexpr int kProducers = 8;
@@ -425,22 +360,15 @@ TEST(SimulatedDevice, TransferTakesModeledTime) {
 TEST(ThreadPool, ShutdownPublishesQueueCounters) {
   // Every published row must read what queue_stats() reads after the join.
   ThreadPoolExecutor pool("publish_pool", 2);
-  common::CountdownLatch latch(10 + 16);
+  common::CountdownLatch latch(10);
   for (int i = 0; i < 10; ++i) pool.post([&] { latch.count_down(); });
-  std::vector<Task> tasks;
-  for (int i = 0; i < 16; ++i) tasks.emplace_back([&] { latch.count_down(); });
-  pool.post_batch(tasks);
   ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
   pool.shutdown();
   const auto s = pool.queue_stats();
   EXPECT_EQ(s.pushes, 10u);
-  EXPECT_EQ(s.batch_pushes, 1u);
-  EXPECT_EQ(s.batch_items, 16u);
   const auto rows = common::Tracer::instance().counters();
   const std::pair<const char*, std::uint64_t> expected[] = {
       {"publish_pool.posts", s.pushes},
-      {"publish_pool.batch_posts", s.batch_pushes},
-      {"publish_pool.batch_items", s.batch_items},
       {"publish_pool.collisions", s.collisions},
       {"publish_pool.max_depth", s.max_depth},
   };

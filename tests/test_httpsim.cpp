@@ -7,6 +7,7 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/sync.hpp"
 #include "httpsim/connector.hpp"
@@ -180,80 +181,19 @@ TEST(VirtualUsers, PyjamaConnectorUnderSwarm) {
   EXPECT_EQ(result.failed, 0u);
 }
 
-TEST(JettyConnector, SubmitBatchCompletesAllRequests) {
-  EncryptionService svc(tiny_config());
-  JettyConnector connector(3, svc.handler());
-  std::atomic<int> responses{0};
-  common::CountdownLatch latch(16);
-  std::vector<Request> burst;
-  for (int i = 0; i < 16; ++i) {
-    burst.push_back(make_request(static_cast<std::uint64_t>(i)));
-  }
-  connector.submit_batch(std::move(burst), [&](const Response& r) {
-    if (r.ok) responses.fetch_add(1);
-    latch.count_down();
+TEST(VirtualUsers, FailedResponsesAreCounted) {
+  // Request ids are user * 1e6 + request index: failing the odd indices
+  // fails two of each user's four requests.
+  JettyConnector connector(2, [](const Request& r) {
+    return Response{r.id, 0, r.id % 2 == 0};
   });
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{30}));
-  EXPECT_EQ(responses.load(), 16);
-}
-
-TEST(PyjamaConnector, SubmitBatchCompletesAllRequests) {
-  EncryptionService svc(tiny_config());
-  PyjamaConnector connector(3, svc.handler());
-  std::atomic<int> responses{0};
-  common::CountdownLatch latch(16);
-  std::vector<Request> burst;
-  for (int i = 0; i < 16; ++i) {
-    burst.push_back(make_request(static_cast<std::uint64_t>(i)));
-  }
-  connector.submit_batch(std::move(burst), [&](const Response& r) {
-    if (r.ok) responses.fetch_add(1);
-    latch.count_down();
-  });
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{30}));
-  EXPECT_EQ(responses.load(), 16);
-  // The counter increments after the dispatch handler returns, which can
-  // trail the last response slightly.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds{5};
-  while (connector.dispatcher().dispatched() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{1});
-  }
-  EXPECT_EQ(connector.dispatcher().dispatched(), 1u);  // one dispatch/burst
-}
-
-TEST(VirtualUsers, BurstPipelinesThroughBothConnectors) {
-  EncryptionService svc(tiny_config());
   VirtualUserOptions opt;
-  opt.users = 4;
-  opt.requests_per_user = 8;
-  opt.burst = 4;  // two bursts of four per user
-  {
-    JettyConnector connector(3, svc.handler());
-    const auto result = run_virtual_users(connector, opt);
-    EXPECT_EQ(result.completed, 32u);
-    EXPECT_EQ(result.failed, 0u);
-    EXPECT_EQ(result.latency.total_count(), 32u);
-  }
-  {
-    PyjamaConnector connector(3, svc.handler());
-    const auto result = run_virtual_users(connector, opt);
-    EXPECT_EQ(result.completed, 32u);
-    EXPECT_EQ(result.failed, 0u);
-  }
-}
-
-TEST(VirtualUsers, BurstLargerThanRemainingRequestsIsClamped) {
-  EncryptionService svc(tiny_config());
-  JettyConnector connector(2, svc.handler());
-  VirtualUserOptions opt;
-  opt.users = 2;
-  opt.requests_per_user = 5;
-  opt.burst = 3;  // 3 + 2 per user
+  opt.users = 3;
+  opt.requests_per_user = 4;
   const auto result = run_virtual_users(connector, opt);
-  EXPECT_EQ(result.completed, 10u);
-  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(result.completed, 12u);
+  EXPECT_EQ(result.failed, 6u);
+  EXPECT_EQ(result.latency.total_count(), 12u);
 }
 
 TEST(VirtualUsers, ThroughputAccountingIsConsistent) {

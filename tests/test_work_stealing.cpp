@@ -100,30 +100,16 @@ bool yield_until(Pred pred) {
 constexpr int kRendezvousWorkers = 4;
 constexpr int kRendezvousRounds = 50;
 
-// Submit make(id) for ids [first, first + count) in order, as a seeded mix
-// of single posts and batches of 1..100.
+// Post make(id) for ids [first, first + count), in order.
 template <class MakeTask>
-void submit_mixed(Executor& pool, int first, int count, std::uint64_t seed,
-                  MakeTask make) {
-  common::Xoshiro256 rng(seed);
-  int id = first;
-  const int end = first + count;
-  while (id < end) {
-    if (rng.next_below(2) == 0) {
-      pool.post(make(id++));
-      continue;
-    }
-    const int n = std::min(end - id, 1 + static_cast<int>(rng.next_below(100)));
-    std::vector<Task> batch;
-    for (int k = 0; k < n; ++k) batch.push_back(make(id++));
-    pool.post_batch(batch);
-  }
+void submit_in_order(Executor& pool, int first, int count, MakeTask make) {
+  for (int id = first; id < first + count; ++id) pool.post(make(id));
 }
 
-// submit_mixed() with each task bumping runs[id].
+// submit_in_order() with each task bumping runs[id].
 void inject_ids(Executor& pool, std::vector<std::atomic<int>>& runs,
-                int first, int count, std::uint64_t seed) {
-  submit_mixed(pool, first, count, seed, [&runs](int id) -> Task {
+                int first, int count) {
+  submit_in_order(pool, first, count, [&runs](int id) -> Task {
     return [&runs, id] { runs[static_cast<std::size_t>(id)]++; };
   });
 }
@@ -144,34 +130,6 @@ bool executed_within(const WorkStealingExecutor& pool, std::uint64_t n) {
     std::this_thread::yield();
   }
   return true;
-}
-
-TEST(WorkStealing, PostBatchRunsAllTasks) {
-  WorkStealingExecutor pool("ws", 3);
-  std::atomic<int> count{0};
-  common::CountdownLatch latch(100);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.emplace_back([&] {
-      count.fetch_add(1);
-      latch.count_down();
-    });
-  }
-  pool.post_batch(tasks);
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.batch_posts(), 1u);
-}
-
-TEST(WorkStealing, PostBatchAfterShutdownIsDropped) {
-  WorkStealingExecutor pool("ws", 1);
-  pool.shutdown();
-  std::atomic<bool> ran{false};
-  std::vector<Task> tasks;
-  tasks.emplace_back([&] { ran.store(true); });
-  pool.post_batch(tasks);
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(ran.load());
 }
 
 TEST(WorkStealing, RunsAllTasks) {
@@ -513,8 +471,8 @@ TEST(WorkStealing, PostThenWaitNeverStrandedByWakeMark) {
 }
 
 TEST(WorkStealing, InjectionRunsEveryTaskExactlyOnce) {
-  // Four foreign producers mixing posts and batches into one injection
-  // list: no node is lost or popped twice, and the count drains to zero.
+  // Four foreign producers posting into one injection list: no node is
+  // lost or popped twice, and the count drains to zero.
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 5000;
   constexpr int kTotal = kProducers * kPerProducer;
@@ -523,7 +481,7 @@ TEST(WorkStealing, InjectionRunsEveryTaskExactlyOnce) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      inject_ids(pool, runs, p * kPerProducer, kPerProducer, 0x1a7 + p);
+      inject_ids(pool, runs, p * kPerProducer, kPerProducer);
     });
   }
   for (auto& t : producers) t.join();
@@ -537,13 +495,12 @@ TEST(WorkStealing, InjectionRunsEveryTaskExactlyOnce) {
 }
 
 TEST(WorkStealing, InjectionIsFifoPerProducer) {
-  // One foreign producer, one worker: interleaved posts and batches run in
-  // submission order.
+  // One foreign producer, one worker: posts run in submission order.
   constexpr int kTasks = 3000;
   WorkStealingExecutor pool("ws", 1);
   std::vector<int> order;
   order.reserve(kTasks);
-  submit_mixed(pool, 0, kTasks, 0xf1f0, [&order](int id) -> Task {
+  submit_in_order(pool, 0, kTasks, [&order](int id) -> Task {
     return [&order, id] { order.push_back(id); };
   });
   ASSERT_TRUE(executed_within(pool, kTasks));
@@ -582,7 +539,7 @@ TEST(WorkStealing, ForeignHelpersRacingWorkersLoseNothing) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      inject_ids(pool, runs, p * kPerProducer, kPerProducer, 0x4e1b + p);
+      inject_ids(pool, runs, p * kPerProducer, kPerProducer);
     });
   }
   for (auto& t : producers) t.join();
@@ -738,31 +695,26 @@ TEST(WorkStealing, PinsToAffinityMaskWithoutConstructorFlag) {
 
 TEST(WorkStealing, ShutdownPublishesCounters) {
   // Every published row must read what the accessors read after the join.
-  // Foreign posts and a batch feed the injection list; each task spawns a
-  // child onto its worker's deque, for local pops and steals.
+  // Foreign posts feed the injection list; each task spawns a child onto
+  // its worker's deque, for local pops and steals.
   WorkStealingExecutor pool("publish_ws", 3);
-  constexpr int kPosts = 40;
-  common::CountdownLatch latch(2 * (kPosts + 8));
+  constexpr int kPosts = 48;
+  common::CountdownLatch latch(2 * kPosts);
   auto spawn = [&] {
     pool.post([&] { latch.count_down(); });
     latch.count_down();
   };
   for (int i = 0; i < kPosts; ++i) pool.post(spawn);
-  std::vector<Task> batch;
-  for (int i = 0; i < 8; ++i) batch.emplace_back(spawn);
-  pool.post_batch(batch);
   ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
   pool.shutdown();
-  EXPECT_EQ(pool.batch_posts(), 1u);
   EXPECT_EQ(pool.local_pops() + pool.steals() + pool.injection_pops(),
-            static_cast<std::uint64_t>(2 * (kPosts + 8)));
+            static_cast<std::uint64_t>(2 * kPosts));
   const auto rows = common::Tracer::instance().counters();
   const std::pair<const char*, std::uint64_t> expected[] = {
       {"publish_ws.local_pops", pool.local_pops()},
       {"publish_ws.steals", pool.steals()},
       {"publish_ws.injection_pops", pool.injection_pops()},
       {"publish_ws.wakes", pool.wakes()},
-      {"publish_ws.batch_posts", pool.batch_posts()},
   };
   for (const auto& [name, value] : expected) {
     const auto it = rows.find(name);

@@ -10,7 +10,8 @@
 //   evmp_loadgen --check=bench/budgets.json                     CI gate:
 //       exits nonzero when p99 exceeds net_smoke_p99_ms, the shed fraction
 //       exceeds net_smoke_shed_rate, any transport error occurs, or the
-//       round fails to drain.
+//       round fails to drain; exits 2 before any load runs when a budget
+//       cannot be read from the file.
 //   evmp_loadgen --alloc-check=bench/budgets.json               CI gate:
 //       steady-state process-wide heap allocations per request against
 //       allocs_per_request_steady (skipped under sanitizers, whose
@@ -30,6 +31,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,18 +190,16 @@ void write_csv_row(std::FILE* f, const RoundResult& r) {
 /// Steady-state allocations per request: one warmup round primes every
 /// pool and buffer, then a measured round divides the process-wide
 /// allocation delta by the requests completed.
-int run_alloc_check(LoadClient& client, const std::string& budget_path,
-                    double rate, double duration) {
+int run_alloc_check(LoadClient& client, double budget, double rate,
+                    double duration) {
 #if EVMP_LOADGEN_SANITIZED
   (void)client;
-  (void)budget_path;
+  (void)budget;
   (void)rate;
   (void)duration;
   std::printf("alloc-check skipped under sanitizers\n");
   return 0;
 #else
-  const double budget =
-      read_budget(budget_path, "allocs_per_request_steady", 64.0);
   const RoundResult warm =
       client.run_round(rate, duration, /*poisson=*/false, 10.0);
   if (warm.ok == 0) {
@@ -255,6 +255,21 @@ int main(int argc, char** argv) {
       static_cast<std::uint16_t>(args.get_long("connect", 0));
   const bool client_only = connect_port != 0;
   const bool server_only = serve_for > 0.0;
+
+  // Budgets are read before any load runs: a file or key that cannot be
+  // read fails the run instead of loosening its gate.
+  std::optional<double> alloc_budget;
+  if (!alloc_check.empty()) {
+    alloc_budget = read_budget(alloc_check, "allocs_per_request_steady");
+    if (!alloc_budget) return 2;
+  }
+  std::optional<double> p99_budget_ms;
+  std::optional<double> shed_budget;
+  if (!check.empty()) {
+    p99_budget_ms = read_budget(check, "net_smoke_p99_ms");
+    shed_budget = read_budget(check, "net_smoke_shed_rate");
+    if (!p99_budget_ms || !shed_budget) return 2;
+  }
 
   // In the default in-process mode, client + server together hold two fds
   // per connection; a split side holds one.
@@ -327,8 +342,8 @@ int main(int argc, char** argv) {
   }
 
   int status = 0;
-  if (!alloc_check.empty()) {
-    status = run_alloc_check(client, alloc_check, rate, duration);
+  if (alloc_budget) {
+    status = run_alloc_check(client, *alloc_budget, rate, duration);
   } else {
     std::FILE* csv_file = nullptr;
     if (!csv.empty()) {
@@ -353,29 +368,25 @@ int main(int argc, char** argv) {
       print_round(result);
       if (csv_file != nullptr) write_csv_row(csv_file, result);
 
-      if (!check.empty()) {
+      if (p99_budget_ms && shed_budget) {
         const LatencyQuantiles q = result.latency.quantiles();
-        const double p99_budget_ms =
-            read_budget(check, "net_smoke_p99_ms", 50.0);
-        const double shed_budget =
-            read_budget(check, "net_smoke_shed_rate", 0.01);
         const double p99_ms = q.p99 / 1e6;
         const double shed_rate =
             result.sent == 0 ? 0.0
                              : static_cast<double>(result.shed) /
                                    static_cast<double>(result.sent);
-        if (p99_ms > p99_budget_ms) {
+        if (p99_ms > *p99_budget_ms) {
           std::fprintf(stderr,
                        "loadgen CHECK FAILED: p99 %.3fms exceeds budget "
                        "net_smoke_p99_ms=%.3fms\n",
-                       p99_ms, p99_budget_ms);
+                       p99_ms, *p99_budget_ms);
           status = 1;
         }
-        if (shed_rate > shed_budget) {
+        if (shed_rate > *shed_budget) {
           std::fprintf(stderr,
                        "loadgen CHECK FAILED: shed rate %.4f exceeds budget "
                        "net_smoke_shed_rate=%.4f\n",
-                       shed_rate, shed_budget);
+                       shed_rate, *shed_budget);
           status = 1;
         }
         if (result.errors != 0) {
